@@ -1,28 +1,27 @@
-//! Density-backend scaling: exact vs coreset vs HBE as the model grows.
+//! Density-backend scaling: exact vs coreset as the model grows.
 //!
 //! Fits micro-cluster KDEs at increasing pseudo-point budgets `q`,
-//! builds every [`udm_kde::DensityBackend`] over each model, and times
-//! the same query workload against all of them. The exact backend's
-//! per-query cost is Θ(q); the coreset backend compresses the model to
-//! a certified-L∞ subset, and the HBE backend's importance-sample count
-//! depends only on `(eps, tau)` — so both should hold their per-query
-//! cost roughly flat while exact grows linearly. The report records
-//! `effective_rows` (rows the backend actually touches per query) as
-//! the structural evidence behind the timings, plus the observed
-//! max |approx − exact| against the coreset's certified bound.
+//! reduces each model to its certified coreset, and times the same
+//! query workload against both mixtures. The exact backend's per-query
+//! cost is Θ(q); the coreset compresses the model to a certified-L∞
+//! subset whose size tracks the data's intrinsic structure, so its
+//! per-query cost should grow sublinearly while exact grows linearly.
+//! The report records `effective_rows` (rows the backend actually
+//! touches per query) as the structural evidence behind the timings,
+//! plus the observed max |approx − exact| against the coreset's
+//! certified bound.
 //!
 //! Output: `results/BENCH_density_backends.json`. `UDM_BENCH_QUICK=1`
 //! shrinks the budget axis and the query count for CI smoke.
 
 use std::time::Instant;
 use udm_core::{Subspace, UncertainPoint};
-use udm_kde::{BackendSpec, DensityBackend, KdeConfig};
-use udm_microcluster::{build_backend, CoresetKde, MaintainerConfig, MicroClusterMaintainer};
+use udm_kde::{BackendSpec, KdeConfig};
+use udm_microcluster::{CoresetKde, MaintainerConfig, MicroClusterKde, MicroClusterMaintainer};
 
 const DIM: usize = 3;
 const CORESET_EPS: f64 = 0.1;
-const HBE_EPS: f64 = 0.2;
-const HBE_TAU: f64 = 0.02;
+const CORESET: BackendSpec = BackendSpec::Coreset { eps: CORESET_EPS };
 
 fn quick() -> bool {
     std::env::var_os("UDM_BENCH_QUICK").is_some()
@@ -76,7 +75,7 @@ const ANCHORS: usize = 48;
 /// [`ANCHORS`] fixed sites with small jitter and per-dimension
 /// measurement errors. As `q` grows past the site count, pseudo-points
 /// become near-duplicates of their site-mates.
-fn fitted(q: usize) -> udm_microcluster::MicroClusterKde {
+fn fitted(q: usize) -> MicroClusterKde {
     let mut rng = Rng(0xBEAC_0000);
     let anchors: Vec<Vec<f64>> = (0..ANCHORS)
         .map(|_| (0..DIM).map(|_| rng.range(0.0, 8.0)).collect())
@@ -96,8 +95,7 @@ fn fitted(q: usize) -> udm_microcluster::MicroClusterKde {
             .with_timestamp(t as u64);
         maintainer.insert(&p).unwrap();
     }
-    udm_microcluster::MicroClusterKde::fit(maintainer.clusters(), KdeConfig::error_adjusted())
-        .unwrap()
+    MicroClusterKde::fit(maintainer.clusters(), KdeConfig::error_adjusted()).unwrap()
 }
 
 fn query_set(count: usize) -> Vec<Vec<f64>> {
@@ -112,13 +110,12 @@ struct BackendPoint {
     backend: String,
     spec: String,
     /// Rows the backend touches per query (pseudo-points for exact,
-    /// compressed rows for coreset, near-field cap + samples for HBE).
+    /// compressed rows for coreset).
     effective_rows: usize,
     ns_per_query: f64,
     /// Largest |approx − exact| observed over the query set.
     max_abs_error: f64,
-    /// The coreset's certified L∞ bound (0 for exact, absent semantics
-    /// for HBE where the guarantee is probabilistic/relative).
+    /// The coreset's certified L∞ bound, on every subspace (0 for exact).
     certified_error: f64,
 }
 
@@ -154,19 +151,15 @@ struct GrowthLine {
     sublinear: bool,
 }
 
-fn time_backend(
-    backend: &dyn DensityBackend,
-    queries: &[Vec<f64>],
-    sub: Subspace,
-) -> (f64, Vec<f64>) {
+fn time_backend(kde: &MicroClusterKde, queries: &[Vec<f64>], sub: Subspace) -> (f64, Vec<f64>) {
     // Warmup pass so lazily-built caches don't bill the first query.
     for x in queries.iter().take(8) {
-        backend.density_subspace(x, None, sub).unwrap();
+        kde.density_subspace_with_error(x, None, sub).unwrap();
     }
     let started = Instant::now();
     let mut out = Vec::with_capacity(queries.len());
     for x in queries {
-        out.push(backend.density_subspace(x, None, sub).unwrap());
+        out.push(kde.density_subspace_with_error(x, None, sub).unwrap());
     }
     let ns = started.elapsed().as_nanos() as f64 / queries.len() as f64;
     (ns, out)
@@ -175,53 +168,37 @@ fn time_backend(
 fn main() {
     let queries = query_set(queries_per_backend());
     let sub = Subspace::full(DIM).unwrap();
-    let specs = [
-        BackendSpec::Exact,
-        BackendSpec::Coreset { eps: CORESET_EPS },
-        BackendSpec::Hbe {
-            eps: HBE_EPS,
-            tau: HBE_TAU,
-        },
-    ];
 
     let mut budgets_out = Vec::new();
     for q in budgets() {
         let kde = fitted(q);
         let model_rows = kde.num_pseudo_points();
-        let (_, exact_values) = time_backend(
-            build_backend(&kde, &BackendSpec::Exact).unwrap().as_ref(),
-            &queries,
-            sub,
-        );
-        let mut backends = Vec::new();
-        for spec in specs {
-            let backend = build_backend(&kde, &spec).unwrap();
-            let (ns_per_query, values) = time_backend(backend.as_ref(), &queries, sub);
-            let max_abs_error = values
-                .iter()
-                .zip(exact_values.iter())
-                .map(|(a, e)| (a - e).abs())
-                .fold(0.0_f64, f64::max);
-            let (effective_rows, certified_error) = match spec {
-                BackendSpec::Exact => (model_rows, 0.0),
-                BackendSpec::Coreset { eps } => {
-                    let coreset = CoresetKde::build(&kde, eps).unwrap();
-                    (coreset.rows(), coreset.certified_error())
-                }
-                BackendSpec::Hbe { .. } => {
-                    let hbe = udm_microcluster::HbeKde::build(&kde, HBE_EPS, HBE_TAU).unwrap();
-                    (hbe.samples().min(model_rows), 0.0)
-                }
-            };
-            backends.push(BackendPoint {
-                backend: backend.name().to_string(),
-                spec: spec.to_string(),
-                effective_rows,
-                ns_per_query,
+        let (exact_ns, exact_values) = time_backend(&kde, &queries, sub);
+        let coreset = CoresetKde::build(&kde, CORESET_EPS).unwrap();
+        let (coreset_ns, coreset_values) = time_backend(coreset.inner(), &queries, sub);
+        let max_abs_error = coreset_values
+            .iter()
+            .zip(exact_values.iter())
+            .map(|(a, e)| (a - e).abs())
+            .fold(0.0_f64, f64::max);
+        let backends = vec![
+            BackendPoint {
+                backend: BackendSpec::Exact.name().to_string(),
+                spec: BackendSpec::Exact.to_string(),
+                effective_rows: model_rows,
+                ns_per_query: exact_ns,
+                max_abs_error: 0.0,
+                certified_error: 0.0,
+            },
+            BackendPoint {
+                backend: CORESET.name().to_string(),
+                spec: CORESET.to_string(),
+                effective_rows: coreset.rows(),
+                ns_per_query: coreset_ns,
                 max_abs_error,
-                certified_error,
-            });
-        }
+                certified_error: coreset.certified_error(),
+            },
+        ];
         println!(
             "q={q}: {}",
             backends
@@ -270,10 +247,10 @@ fn main() {
         criteria_notes: vec![
             format!(
                 "exact touches every pseudo-point (Θ(q) per query); coreset compresses \
-                 to a certified-L∞ row subset at eps={CORESET_EPS}; hbe draws an \
-                 importance sample whose size depends only on eps={HBE_EPS}, tau={HBE_TAU}."
+                 to a row subset at eps={CORESET_EPS} whose L∞ error is certified on \
+                 every subspace."
             ),
-            "acceptance: approximate backends' rows_growth stays below q_growth \
+            "acceptance: the coreset's rows_growth stays below q_growth \
              (sublinear=true) while exact's tracks it exactly; coreset \
              max_abs_error stays within certified_error."
                 .to_string(),

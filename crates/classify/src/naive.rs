@@ -18,11 +18,8 @@
 use crate::config::ClassifierConfig;
 use crate::eval::Classifier;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 use udm_core::{ClassLabel, Result, Subspace, UdmError, UncertainDataset, UncertainPoint};
-use udm_kde::{BackendSpec, DensityBackend};
-use udm_microcluster::{build_backend, MaintainerConfig, MicroClusterKde, MicroClusterMaintainer};
+use udm_microcluster::{MaintainerConfig, MicroClusterKde, MicroClusterMaintainer};
 
 /// A trained naive density Bayes classifier.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -32,49 +29,6 @@ pub struct NaiveDensityBayes {
     log_priors: Vec<f64>,
     class_kdes: Vec<MicroClusterKde>,
     convolve_query_error: bool,
-    runtime: NaiveBackendRuntime,
-}
-
-/// One backend per class, in `labels` order, shared across threads.
-type ClassBackends = Arc<Vec<Arc<dyn DensityBackend>>>;
-
-/// Runtime-only backend selection (same shape as the full classifier's):
-/// a default [`BackendSpec`] plus a per-spec cache of built per-class
-/// backends. Never serialized; restored models start back at `Exact`.
-#[derive(Debug, Default)]
-struct NaiveBackendRuntime {
-    default_spec: Mutex<BackendSpec>,
-    cache: Mutex<HashMap<String, ClassBackends>>,
-}
-
-impl NaiveBackendRuntime {
-    fn spec(&self) -> BackendSpec {
-        self.default_spec
-            .lock()
-            .map(|g| *g)
-            .unwrap_or(BackendSpec::Exact)
-    }
-}
-
-impl Clone for NaiveBackendRuntime {
-    fn clone(&self) -> Self {
-        NaiveBackendRuntime {
-            default_spec: Mutex::new(self.spec()),
-            cache: Mutex::new(HashMap::new()),
-        }
-    }
-}
-
-impl serde::Serialize for NaiveBackendRuntime {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
-    }
-}
-
-impl serde::Deserialize for NaiveBackendRuntime {
-    fn from_value(_: &serde::Value) -> std::result::Result<Self, serde::DeError> {
-        Ok(NaiveBackendRuntime::default())
-    }
 }
 
 impl NaiveDensityBayes {
@@ -144,55 +98,12 @@ impl NaiveDensityBayes {
             log_priors,
             class_kdes,
             convolve_query_error: config.error_adjusted && config.convolve_query_error,
-            runtime: NaiveBackendRuntime::default(),
         })
     }
 
     /// The class labels, ascending.
     pub fn labels(&self) -> &[ClassLabel] {
         &self.labels
-    }
-
-    /// The runtime-selected default density backend spec.
-    pub fn backend_spec(&self) -> BackendSpec {
-        self.runtime.spec()
-    }
-
-    /// Selects the density backend for subsequent queries (interior
-    /// mutability, so it works through a shared `Arc`). Built eagerly so
-    /// construction errors surface here rather than per query.
-    ///
-    /// # Errors
-    ///
-    /// Spec validation or backend construction failures; the previous
-    /// default stays in effect on error.
-    pub fn set_backend(&self, spec: BackendSpec) -> Result<()> {
-        spec.validate()?;
-        self.backends_for(&spec)?;
-        if let Ok(mut guard) = self.runtime.default_spec.lock() {
-            *guard = spec;
-        }
-        Ok(())
-    }
-
-    /// The cached per-class backends for `spec`, building on first use.
-    fn backends_for(&self, spec: &BackendSpec) -> Result<ClassBackends> {
-        let key = spec.to_string();
-        if let Ok(cache) = self.runtime.cache.lock() {
-            if let Some(set) = cache.get(&key) {
-                return Ok(Arc::clone(set));
-            }
-        }
-        let built = Arc::new(
-            self.class_kdes
-                .iter()
-                .map(|kde| build_backend(kde, spec))
-                .collect::<Result<Vec<_>>>()?,
-        );
-        if let Ok(mut cache) = self.runtime.cache.lock() {
-            cache.insert(key, Arc::clone(&built));
-        }
-        Ok(built)
     }
 
     /// Log-score of each class at `x` (unnormalized log-posterior).
@@ -208,16 +119,13 @@ impl NaiveDensityBayes {
         } else {
             None
         };
-        let backends = self.backends_for(&self.runtime.spec())?;
-        // Every singleton dimension in one batch call per class, so
-        // backends can amortize per-query work (columns, hash probes).
-        let singletons = (0..self.dim)
-            .map(Subspace::singleton)
-            .collect::<Result<Vec<_>>>()?;
         let mut out = Vec::with_capacity(self.labels.len());
-        for (i, be) in backends.iter().enumerate() {
+        for (i, kde) in self.class_kdes.iter().enumerate() {
+            // One column build per class serves every singleton dimension.
+            let columns = kde.kernel_columns(x.values(), query_errors)?;
             let mut log_score = self.log_priors[i];
-            for g in be.density_subspaces(x.values(), query_errors, &singletons)? {
+            for j in 0..self.dim {
+                let g = columns.density(Subspace::singleton(j)?)?;
                 // Floor against log(0): an empty class region contributes a
                 // large but finite penalty so other dimensions still count.
                 log_score += g.max(1e-300).ln();

@@ -63,7 +63,7 @@ pub enum Command {
         unadjusted: bool,
         /// Use the nearest-neighbor baseline instead.
         nn: bool,
-        /// Density backend (`exact | coreset:EPS | hbe:EPS[,TAU]`).
+        /// Density backend (`exact | coreset:EPS`).
         backend: BackendSpec,
     },
     /// Convert a raw UCI repository file to the canonical CSV layout
@@ -259,11 +259,8 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<
 }
 
 fn parse_backend(value: Option<String>) -> Result<BackendSpec> {
-    let raw =
-        value.ok_or_else(|| invalid("--backend needs exact | coreset:EPS | hbe:EPS[,TAU]"))?;
-    let spec = BackendSpec::parse(&raw)?;
-    spec.validate()?;
-    Ok(spec)
+    let raw = value.ok_or_else(|| invalid("--backend needs exact | coreset:EPS"))?;
+    BackendSpec::parse(&raw)
 }
 
 fn parse_f64_list(flag: &str, value: Option<String>) -> Result<Vec<f64>> {
@@ -1107,18 +1104,19 @@ mod tests {
             }
             _ => panic!("wrong command"),
         }
-        let c = parse(&["chaos", "adult", "--backend", "hbe:0.2,0.05"]).unwrap();
+        let c = parse(&["chaos", "adult", "--backend", "coreset:0.2"]).unwrap();
         match c {
             Command::Chaos { backend, .. } => {
-                assert_eq!(
-                    backend,
-                    BackendSpec::Hbe {
-                        eps: 0.2,
-                        tau: 0.05
-                    }
-                );
+                assert_eq!(backend, BackendSpec::Coreset { eps: 0.2 });
             }
             _ => panic!("wrong command"),
+        }
+        // The removed hashing-based specs fail cleanly, naming the grammar.
+        for removed in ["hbe:0.2", "hbe:0.2,0.05"] {
+            let err = parse(&["chaos", "adult", "--backend", removed])
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("exact | coreset:EPS"), "{removed}: {err}");
         }
         let c = parse(&[
             "serve",

@@ -33,7 +33,7 @@ USAGE:
                [--q Q] [--unadjusted] [--grid LO:HI:N]
   udm classify  --train TRAIN.csv --test TEST.csv
                [--q Q] [--threshold A] [--unadjusted | --nn]
-               [--backend exact|coreset:EPS|hbe:EPS[,TAU]]
+               [--backend exact|coreset:EPS]
   udm cluster   <data.csv> (--k K | --dbscan EPS,MINPTS)
                [--euclidean] [--seed S]
   udm convert   <adult|ionosphere|breast_cancer|forest_cover> RAW_FILE

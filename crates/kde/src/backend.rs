@@ -1,42 +1,27 @@
-//! The pluggable density-backend seam.
+//! The density-backend spec shared by the CLI and the HTTP API.
 //!
 //! Every density consumer in the workspace — the subspace classifier's
-//! roll-up oracle, naive density Bayes, the serving daemon's batcher and
-//! request handlers, the CLI drills — evaluates densities through one
-//! object-safe trait, [`DensityBackend`], instead of a hard-wired
-//! estimator type. The trait is deliberately small: point density,
-//! subspace density (optionally convolved with the query's own error),
-//! a many-subspaces batch entry, and an *optional* kernel-column cache
-//! hook for backends whose arithmetic factorizes per dimension.
+//! roll-up oracle, the serving daemon's batcher and request handlers,
+//! the CLI drills — reads one estimator type, the micro-cluster mixture
+//! `udm_microcluster::MicroClusterKde`. [`BackendSpec`] picks *which*
+//! mixture answers:
 //!
-//! [`BackendSpec`] is the accuracy-vs-latency knob that selects an
-//! implementation:
+//! | spec | rows read per query | error |
+//! |------|---------------------|-------|
+//! | `Exact` | all `q` pseudo-points | none — the fitted mixture itself |
+//! | `Coreset { eps }` | `q' ≤ q` merged pseudo-points | certified `L∞ ≤ eps · f_max` on every subspace |
 //!
-//! | spec | cost per query | error |
-//! |------|----------------|-------|
-//! | `Exact` | `O(q·d)` | none — bit-identical to the direct estimator |
-//! | `Coreset { eps }` | `O(q'·d)`, `q' ≤ q` | certified `L∞ ≤ eps · f_max` |
-//! | `Hbe { eps, tau }` | near-field + `O(1/(eps²·√tau))` samples | stochastic, deterministic per (model, query) |
-//!
-//! The concrete implementations live in `udm_microcluster::backend`
-//! (they need the micro-cluster estimator, which this crate cannot see);
-//! this module owns the trait, the spec grammar shared by the CLI and
-//! the HTTP API (`exact | coreset:EPS | hbe:EPS[,TAU]`), and the
-//! per-backend observability helpers.
+//! The coreset reduction lives in `udm_microcluster::backend` (it needs
+//! the micro-cluster estimator, which this crate cannot see); this
+//! module owns the spec grammar (`exact | coreset:EPS`) and the
+//! per-backend query metrics.
 
 use serde::{Deserialize, Serialize};
-use udm_core::{Result, Subspace, UdmError};
+use udm_core::{Result, UdmError};
 
-use crate::columns::KernelColumns;
-
-/// Default mass fraction `tau` below which the HBE estimator stops
-/// caring about relative accuracy (Charikar–Siminelakis style density
-/// floor).
-pub const DEFAULT_HBE_TAU: f64 = 1e-2;
-
-/// Which density implementation a consumer wants, with its accuracy
-/// knobs. Parsed from / rendered to the shared CLI & HTTP grammar
-/// `exact | coreset:EPS | hbe:EPS[,TAU]`.
+/// Which micro-cluster mixture a consumer reads, with its accuracy knob.
+/// Parsed from / rendered to the shared CLI & HTTP grammar
+/// `exact | coreset:EPS`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub enum BackendSpec {
     /// The exact micro-cluster mixture — every pseudo-point, every query.
@@ -44,18 +29,10 @@ pub enum BackendSpec {
     Exact,
     /// Deterministic coreset: pseudo-points greedily merged while a
     /// certified `L∞` error budget of `eps · f_max` holds, where
-    /// `f_max` is the mixture's peak-density upper bound.
+    /// `f_max` bounds the peak density of every subspace marginal.
     Coreset {
         /// Relative `L∞` budget in `(0, 1)`.
         eps: f64,
-    },
-    /// Hashing-based estimator: exact near-field via per-dimension grid
-    /// hashing plus weighted importance sampling of the far field.
-    Hbe {
-        /// Target relative error on densities above the `tau` floor.
-        eps: f64,
-        /// Density floor as a fraction of the peak-density bound.
-        tau: f64,
     },
 }
 
@@ -66,51 +43,35 @@ impl BackendSpec {
         match self {
             BackendSpec::Exact => "exact",
             BackendSpec::Coreset { .. } => "coreset",
-            BackendSpec::Hbe { .. } => "hbe",
         }
     }
 
-    /// Validates the accuracy knobs.
+    /// Validates the accuracy knob.
     ///
     /// # Errors
     ///
-    /// [`UdmError::InvalidConfig`] when `eps` or `tau` leaves `(0, 1)`.
+    /// [`UdmError::InvalidConfig`] when `eps` leaves `(0, 1)`.
     pub fn validate(&self) -> Result<()> {
-        let check = |what: &str, v: f64| -> Result<()> {
-            if !(v.is_finite() && v > 0.0 && v < 1.0) {
-                return Err(UdmError::InvalidConfig(format!(
-                    "backend {what} must be in (0, 1), got {v}"
-                )));
-            }
-            Ok(())
-        };
         match self {
             BackendSpec::Exact => Ok(()),
-            BackendSpec::Coreset { eps } => check("eps", *eps),
-            BackendSpec::Hbe { eps, tau } => {
-                check("eps", *eps)?;
-                check("tau", *tau)
-            }
+            BackendSpec::Coreset { eps } if eps.is_finite() && *eps > 0.0 && *eps < 1.0 => Ok(()),
+            BackendSpec::Coreset { eps } => Err(UdmError::InvalidConfig(format!(
+                "backend eps must be in (0, 1), got {eps}"
+            ))),
         }
     }
 
-    /// Parses the shared spec grammar: `exact`, `coreset:EPS` or
-    /// `hbe:EPS[,TAU]` (TAU defaults to [`DEFAULT_HBE_TAU`]).
+    /// Parses the shared spec grammar: `exact` or `coreset:EPS`.
     ///
     /// # Errors
     ///
     /// [`UdmError::InvalidConfig`] on an unknown backend name, a
-    /// malformed number, or knobs outside `(0, 1)`.
+    /// malformed number, or `eps` outside `(0, 1)`.
     pub fn parse(text: &str) -> Result<Self> {
         let bad = |msg: String| UdmError::InvalidConfig(msg);
         let (head, args) = match text.split_once(':') {
             Some((h, a)) => (h, Some(a)),
             None => (text, None),
-        };
-        let num = |what: &str, s: &str| -> Result<f64> {
-            s.trim()
-                .parse::<f64>()
-                .map_err(|_| bad(format!("backend spec `{text}`: bad {what} `{s}`")))
         };
         let spec = match (head.trim(), args) {
             ("exact", None) => BackendSpec::Exact,
@@ -120,30 +81,18 @@ impl BackendSpec {
                 )))
             }
             ("coreset", Some(a)) => BackendSpec::Coreset {
-                eps: num("eps", a)?,
+                eps: a
+                    .trim()
+                    .parse::<f64>()
+                    .map_err(|_| bad(format!("backend spec `{text}`: bad eps `{a}`")))?,
             },
             ("coreset", None) => {
                 return Err(bad(format!("backend spec `{text}`: coreset needs `:EPS`")))
             }
-            ("hbe", Some(a)) => match a.split_once(',') {
-                Some((e, t)) => BackendSpec::Hbe {
-                    eps: num("eps", e)?,
-                    tau: num("tau", t)?,
-                },
-                None => BackendSpec::Hbe {
-                    eps: num("eps", a)?,
-                    tau: DEFAULT_HBE_TAU,
-                },
-            },
-            ("hbe", None) => {
-                return Err(bad(format!(
-                    "backend spec `{text}`: hbe needs `:EPS[,TAU]`"
-                )))
-            }
             (other, _) => {
                 return Err(bad(format!(
-                "unknown density backend `{other}` (expected exact | coreset:EPS | hbe:EPS[,TAU])"
-            )))
+                    "unknown density backend `{other}` (expected exact | coreset:EPS)"
+                )))
             }
         };
         spec.validate()?;
@@ -156,110 +105,24 @@ impl std::fmt::Display for BackendSpec {
         match self {
             BackendSpec::Exact => write!(f, "exact"),
             BackendSpec::Coreset { eps } => write!(f, "coreset:{eps}"),
-            BackendSpec::Hbe { eps, tau } => write!(f, "hbe:{eps},{tau}"),
         }
     }
 }
 
-/// An object-safe density estimator.
-///
-/// All query coordinates are in *full-dimensional* space; subspace
-/// queries select which dimensions participate. `query_errors`, when
-/// present, convolves each kernel with the query point's own
-/// per-dimension error ψ(x) (the paper's Figure 1 scenario).
-///
-/// Implementations must validate their inputs (finite values, matching
-/// arity) on every public entry point — enforced by lint rule UDM005,
-/// which covers `DensityBackend` impl blocks.
-pub trait DensityBackend: Send + Sync + std::fmt::Debug {
-    /// The backend's short name (`"exact"`, `"coreset"`, `"hbe"`) —
-    /// used as the per-backend metrics key.
-    fn name(&self) -> &'static str;
-
-    /// Dimensionality of the underlying model.
-    fn dim(&self) -> usize;
-
-    /// Density at `x` over the full dimensionality.
-    ///
-    /// # Errors
-    ///
-    /// Arity mismatches, non-finite inputs, evaluation failures.
-    fn density(&self, x: &[f64]) -> Result<f64>;
-
-    /// Density at `x` over `subspace`, optionally convolved with the
-    /// query's own per-dimension error.
-    ///
-    /// # Errors
-    ///
-    /// As [`DensityBackend::density`], plus empty/out-of-range subspaces.
-    fn density_subspace(
-        &self,
-        x: &[f64],
-        query_errors: Option<&[f64]>,
-        subspace: Subspace,
-    ) -> Result<f64>;
-
-    /// Densities at `x` over many subspaces in one call — the batch
-    /// entry the roll-up and benches use; backends amortize per-query
-    /// work (column caches, hash lookups, sample draws) across it.
-    ///
-    /// # Errors
-    ///
-    /// As [`DensityBackend::density_subspace`]; the first failing
-    /// subspace aborts the batch.
-    fn density_subspaces(
-        &self,
-        x: &[f64],
-        query_errors: Option<&[f64]>,
-        subspaces: &[Subspace],
-    ) -> Result<Vec<f64>>;
-
-    /// The per-query kernel-column cache, for backends whose density
-    /// factorizes into per-dimension kernel columns (`Exact`,
-    /// `Coreset`). `Ok(None)` means the backend has no columnar form
-    /// (`Hbe`) and callers should fall back to per-subspace queries.
-    ///
-    /// # Errors
-    ///
-    /// Arity mismatches and non-finite inputs.
-    fn kernel_columns(
-        &self,
-        x: &[f64],
-        query_errors: Option<&[f64]>,
-    ) -> Result<Option<KernelColumns>> {
-        let _ = (x, query_errors);
-        Ok(None)
+/// Records one answered query under `spec`: the per-backend query
+/// counter and latency histogram (`udm_backend_{exact,coreset}_…`).
+/// Consumers call it once per answered query, not per density read.
+pub fn record_query(spec: &BackendSpec, seconds: f64) {
+    match spec {
+        BackendSpec::Exact => {
+            udm_observe::counter_inc!("udm_backend_exact_queries_total");
+            udm_observe::histogram_observe!("udm_backend_exact_query_seconds", seconds);
+        }
+        BackendSpec::Coreset { .. } => {
+            udm_observe::counter_inc!("udm_backend_coreset_queries_total");
+            udm_observe::histogram_observe!("udm_backend_coreset_query_seconds", seconds);
+        }
     }
-}
-
-/// Records one density query against a backend: a per-backend query
-/// counter and a per-backend latency histogram, keyed by
-/// [`DensityBackend::name`]. The metric names are static per backend so
-/// the lock-light registry's literal-keyed fast path applies.
-pub fn record_query(backend: &str, seconds: f64) {
-    if !udm_observe::enabled() {
-        return;
-    }
-    let (queries, latency) = match backend {
-        "exact" => (
-            "udm_backend_exact_queries_total",
-            "udm_backend_exact_query_seconds",
-        ),
-        "coreset" => (
-            "udm_backend_coreset_queries_total",
-            "udm_backend_coreset_query_seconds",
-        ),
-        "hbe" => (
-            "udm_backend_hbe_queries_total",
-            "udm_backend_hbe_query_seconds",
-        ),
-        _ => (
-            "udm_backend_other_queries_total",
-            "udm_backend_other_query_seconds",
-        ),
-    };
-    udm_observe::global().counter(queries).inc();
-    udm_observe::global().histogram(latency).observe(seconds);
 }
 
 #[cfg(test)]
@@ -273,20 +136,6 @@ mod tests {
             BackendSpec::parse("coreset:0.1").unwrap(),
             BackendSpec::Coreset { eps: 0.1 }
         );
-        assert_eq!(
-            BackendSpec::parse("hbe:0.2").unwrap(),
-            BackendSpec::Hbe {
-                eps: 0.2,
-                tau: DEFAULT_HBE_TAU
-            }
-        );
-        assert_eq!(
-            BackendSpec::parse("hbe:0.2,0.05").unwrap(),
-            BackendSpec::Hbe {
-                eps: 0.2,
-                tau: 0.05
-            }
-        );
         for bad in [
             "",
             "fast",
@@ -294,23 +143,25 @@ mod tests {
             "coreset:",
             "coreset:2.0",
             "coreset:nan",
-            "hbe",
-            "hbe:0",
-            "hbe:0.1,9",
             "exact:1",
         ] {
             assert!(BackendSpec::parse(bad).is_err(), "accepted `{bad}`");
         }
-        for spec in [
-            BackendSpec::Exact,
-            BackendSpec::Coreset { eps: 0.25 },
-            BackendSpec::Hbe {
-                eps: 0.125,
-                tau: 0.5,
-            },
-        ] {
+        for spec in [BackendSpec::Exact, BackendSpec::Coreset { eps: 0.25 }] {
             let text = spec.to_string();
             assert_eq!(BackendSpec::parse(&text).unwrap(), spec, "via `{text}`");
+        }
+    }
+
+    #[test]
+    fn removed_hbe_specs_are_rejected_with_the_grammar() {
+        for removed in ["hbe", "hbe:0.2", "hbe:0.2,0.05"] {
+            let err = BackendSpec::parse(removed).unwrap_err().to_string();
+            assert!(
+                err.contains("unknown density backend `hbe`")
+                    && err.contains("exact | coreset:EPS"),
+                "`{removed}` → {err}"
+            );
         }
     }
 
@@ -318,19 +169,20 @@ mod tests {
     fn names_are_stable() {
         assert_eq!(BackendSpec::Exact.name(), "exact");
         assert_eq!(BackendSpec::Coreset { eps: 0.1 }.name(), "coreset");
-        assert_eq!(BackendSpec::Hbe { eps: 0.1, tau: 0.1 }.name(), "hbe");
     }
 
     #[test]
     fn record_query_touches_registry() {
-        record_query("exact", 0.001);
-        record_query("unknown-backend", 0.001);
+        record_query(&BackendSpec::Exact, 0.001);
+        record_query(&BackendSpec::Coreset { eps: 0.1 }, 0.001);
         let snap = udm_observe::Snapshot::capture();
         if udm_observe::enabled() {
-            assert!(snap
-                .counters
-                .iter()
-                .any(|c| c.name == "udm_backend_exact_queries_total"));
+            for name in [
+                "udm_backend_exact_queries_total",
+                "udm_backend_coreset_queries_total",
+            ] {
+                assert!(snap.counters.iter().any(|c| c.name == name), "{name}");
+            }
         }
     }
 }

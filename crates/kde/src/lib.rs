@@ -20,9 +20,9 @@
 //!
 //! Provided here:
 //!
-//! * [`backend`] — the pluggable [`DensityBackend`] trait and the
-//!   `exact | coreset:EPS | hbe:EPS[,TAU]` accuracy-vs-latency spec every
-//!   density consumer selects implementations through,
+//! * [`backend`] — the `exact | coreset:EPS` [`BackendSpec`] every
+//!   density consumer selects its micro-cluster mixture through, and the
+//!   per-backend query metrics,
 //! * [`kernel`] — classic kernel functions (Gaussian, Epanechnikov, …),
 //! * [`error_kernel`] — the paper's error-based Gaussian kernel (Eq. 3) in
 //!   both paper-faithful and renormalized forms,
@@ -61,7 +61,7 @@ pub mod quadrature;
 pub mod sampling;
 
 pub use ascii::{chart, sparkline};
-pub use backend::{BackendSpec, DensityBackend};
+pub use backend::BackendSpec;
 pub use bandwidth::{silverman_bandwidth, silverman_robust_bandwidth, BandwidthRule};
 pub use cdf::{kde_cdf, kde_interval_mass, kde_quantile};
 pub use classic::ClassicKde;

@@ -124,27 +124,11 @@ const GUARD_IDENTS: [&str; 6] = [
     "is_finite",
 ];
 
-/// True when any enclosing item is an `impl` whose head mentions the
-/// `DensityBackend` trait — its methods are estimator entry points even
-/// without `pub` (trait dispatch makes them externally reachable).
-fn in_density_backend_impl(ancestors: &[&Item], toks: &[Tok]) -> bool {
-    ancestors.iter().any(|a| {
-        if a.kind != ItemKind::Impl {
-            return false;
-        }
-        let mut idx = Vec::new();
-        flat_indices(&a.head, &mut idx);
-        idx.iter().any(|&i| toks[i].is_ident("DensityBackend"))
-    })
-}
-
 /// UDM005 on the AST: `pub fn density*` / `pub fn classify*` — and the
 /// serve-layer request handlers `pub fn handle_*density*` /
 /// `pub fn handle_*classify*` — taking float input must validate or
-/// delegate. Methods of `impl DensityBackend for …` blocks are held to
-/// the same contract even without `pub`: the trait object makes them
-/// externally reachable entry points. The AST form gets exact item
-/// extents (no brace-counting drift) and exact `pub` + test gating.
+/// delegate. The AST form gets exact item extents (no brace-counting
+/// drift) and exact `pub` + test gating.
 fn udm005_entry_validation(lexed: &Lexed, ast: &Ast, ctx: &FileContext, out: &mut Vec<Diagnostic>) {
     if !ctx.is_library {
         return;
@@ -154,7 +138,7 @@ fn udm005_entry_validation(lexed: &Lexed, ast: &Ast, ctx: &FileContext, out: &mu
         if item.kind != ItemKind::Fn || in_test_item(item, ancestors) {
             return;
         }
-        if !item.is_pub && !in_density_backend_impl(ancestors, toks) {
+        if !item.is_pub {
             return;
         }
         let Some(name) = item.name.as_deref() else {
@@ -613,33 +597,6 @@ mod tests {
             "pub fn density(&self, x: &[f64]) -> f64 { ensure_finite_slice(\"q\", x).unwrap_or(0.0); self.sum(x) }",
             "pub fn density(&self, x: &[f64]) -> f64 { self.density_subspace(x, 0) }",
             "fn density_private(x: &[f64]) -> f64 { x[0] }",
-        ] {
-            assert!(!rules_of(&lint(src)).contains(&"UDM005"), "{src}");
-        }
-    }
-
-    #[test]
-    fn udm005_ast_covers_density_backend_impls() {
-        // Non-pub trait methods inside an `impl DensityBackend for …`
-        // block are entry points: unvalidated float input fires.
-        let firing = "impl DensityBackend for HbeKde {\n\
-             fn density(&self, x: &[f64]) -> Result<f64> { Ok(self.raw(x)) }\n\
-             }";
-        assert!(rules_of(&lint(firing)).contains(&"UDM005"), "{firing}");
-
-        for src in [
-            // Guarded method complies.
-            "impl DensityBackend for HbeKde {\n\
-             fn density(&self, x: &[f64]) -> Result<f64> { ensure_finite_slice(\"q\", x)?; Ok(self.raw(x)) }\n\
-             }",
-            // Delegating to a sibling validated entry complies.
-            "impl DensityBackend for HbeKde {\n\
-             fn density(&self, x: &[f64]) -> Result<f64> { self.density_subspace(x, None, 0) }\n\
-             }",
-            // Plain inherent impls keep the pub-only contract.
-            "impl HbeKde {\n\
-             fn density_raw(&self, x: &[f64]) -> f64 { x[0] }\n\
-             }",
         ] {
             assert!(!rules_of(&lint(src)).contains(&"UDM005"), "{src}");
         }

@@ -1,24 +1,16 @@
-//! Density backends over micro-cluster mixtures: the concrete
-//! implementations behind `udm_kde::backend::DensityBackend`.
+//! The coreset density backend: a certified reduction of a micro-cluster
+//! mixture.
 //!
-//! * **Exact** — [`MicroClusterKde`] itself: every pseudo-point, every
-//!   query, bit-identical to the pre-trait direct call path (the trait
-//!   methods delegate to the very same inherent methods).
-//! * **Coreset** — [`CoresetKde`]: a discrepancy-style reduction in the
-//!   spirit of Phillips & Tai (arXiv:1710.04325). Pseudo-points are
-//!   greedily merged (cheapest certified pair first, halving-like
-//!   cascades under a shared budget) while a *certified* `L∞` bound on
-//!   the density perturbation stays under `eps · f_max`, where `f_max`
-//!   is the mixture's peak-density upper bound. The construction is a
-//!   deterministic function of the model: same pseudo-points in, same
-//!   coreset out.
-//! * **HBE** — [`HbeKde`]: hashing-based importance sampling in the
-//!   spirit of Charikar & Siminelakis (arXiv:1808.10530). A per-dimension
-//!   grid hash retrieves the near field (evaluated exactly); the far
-//!   field is estimated by weighted importance sampling with
-//!   `m = ⌈1/(eps²·√tau)⌉` draws. Randomness is derived from the model
-//!   fingerprint and the query bits, so repeated queries are
-//!   deterministic and serving stays reproducible.
+//! Every density consumer reads a [`MicroClusterKde`]. Under
+//! `BackendSpec::Exact` that is the fitted mixture itself; under
+//! `BackendSpec::Coreset { eps }` it is the reduced mixture held by a
+//! [`CoresetKde`] — a discrepancy-style reduction in the spirit of
+//! Phillips & Tai (arXiv:1710.04325). Pseudo-points are greedily merged
+//! (cheapest certified pair first, under one shared budget) while a
+//! *certified* `L∞` bound on the density perturbation stays under
+//! `eps · f_max`, where `f_max` bounds the peak density of the mixture
+//! and of every subspace marginal. The construction is a deterministic
+//! function of the model: same pseudo-points in, same coreset out.
 //!
 //! ## Certified coreset error bound
 //!
@@ -26,146 +18,49 @@
 //! (second moments preserved per dimension) perturbs the un-normalized
 //! mixture by at most `w_a·sup|K_a−K_m| + w_b·sup|K_b−K_m|`. For
 //! product-form Gaussian kernels with per-dimension peak `p_j`, center
-//! `c_j` and variance `v_j`, a telescoping bound gives
+//! `c_j` and variance `v_j`, a telescoping bound over any subspace `S`
+//! gives
 //!
 //! ```text
-//! sup |Π_j k_j − Π_j k'_j|  ≤  Σ_j D_j · Π_{l≠j} max(p_l, p'_l)
+//! sup |Π_{j∈S} k_j − Π_{j∈S} k'_j|  ≤  Σ_{j∈S} D_j · Π_{l∈S, l≠j} max(p_l, p'_l)
+//!                                    ≤  Σ_j D_j · Π_{l≠j} max(1, p_l, p'_l)
 //! D_j ≤ |p_j−p'_j| + p'_j·( |v_j−v'_j| / (e·min(v_j,v'_j))
 //!                          + |c_j−c'_j| · e^{−1/2} / √v'_j )
 //! ```
 //!
 //! using `sup_t |∂/∂v e^{−t²/2v}| ≤ 1/(e·v)` and
-//! `sup_t |d/dt e^{−t²/2v}| = e^{−1/2}/√v`. Merge costs accumulate by
-//! the triangle inequality, so the final [`CoresetKde::certified_error`]
-//! is a true `L∞` bound against the source mixture — the property the
-//! backend-equivalence proptest checks.
+//! `sup_t |d/dt e^{−t²/2v}| = e^{−1/2}/√v`. Clamping every factor at 1
+//! makes the right-hand side independent of `S`: a marginal drops the
+//! factors outside `S`, which can only shrink a product of terms ≥ 1.
+//! The peak bound `Σ_i w_i · Π_j max(1, p_ij)` is clamped the same way,
+//! so it bounds the peak of every marginal too. Merge costs accumulate
+//! by the triangle inequality, so [`CoresetKde::certified_error`] is a
+//! true `L∞` bound against the source mixture on every subspace at once
+//! — the property `tests/backend_equivalence.rs` checks over random
+//! models and random subspaces.
+//!
+//! **Query errors.** Under `ErrorKernelForm::Normalized` the kernel at a
+//! query with its own error `ψ(x)` is the error-free kernel convolved
+//! with the Gaussian `N(0, ψ(x)²)` — the same density for every
+//! pseudo-point, merged or not. Convolving the error function with a
+//! probability density cannot raise its maximum, so the certificate
+//! also covers error-convolved queries. `ErrorKernelForm::PaperFaithful`
+//! scales each kernel by `1/(h + ψ)`, which is not a convolution; under
+//! that form the certificate covers error-free queries only.
 
 use crate::density::MicroClusterKde;
 use crate::pseudo::PseudoPoint;
-use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::Instant;
-use udm_core::num::{clamped_sqrt, ensure_finite_slice, ensure_finite_slice_opt, f64_from_count};
-use udm_core::{Result, Subspace, UdmError};
-use udm_kde::backend::{record_query, BackendSpec, DensityBackend};
-use udm_kde::{GaussianErrorKernel, KernelColumns};
+use udm_core::num::{clamped_sqrt, f64_from_count};
+use udm_core::Result;
+use udm_kde::backend::BackendSpec;
+use udm_kde::GaussianErrorKernel;
 
-/// FNV-1a over little-endian bytes.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv1a_f64s(mut h: u64, values: &[f64]) -> u64 {
-    for &v in values {
-        h = fnv1a(h, &v.to_bits().to_le_bytes());
-    }
-    h
-}
-
-/// Bit-exact digest of a fitted estimator: pseudo-point statistics,
-/// weights and bandwidths. Two estimators share a fingerprint iff their
-/// mixtures are bit-identical — the seed that makes the coreset and HBE
-/// constructions deterministic functions of the model.
-pub fn model_fingerprint(kde: &MicroClusterKde) -> u64 {
-    let mut h = FNV_OFFSET;
-    for p in kde.pseudo_points() {
-        h = fnv1a_f64s(h, &p.centroid);
-        h = fnv1a_f64s(h, &p.delta);
-        h = fnv1a(h, &p.weight.to_le_bytes());
-    }
-    h = fnv1a_f64s(h, kde.bandwidths());
-    fnv1a(h, &kde.total_points().to_le_bytes())
-}
-
-/// Builds the backend selected by `spec` over a fitted estimator.
-///
-/// `Exact` wraps a clone of the estimator itself; `Coreset` and `Hbe`
-/// run their (deterministic) constructions. The result is `Arc`'d so
-/// snapshot/classifier caches can share one instance across threads.
-///
-/// # Errors
-///
-/// Spec validation errors; construction failures from degenerate models.
-pub fn build_backend(kde: &MicroClusterKde, spec: &BackendSpec) -> Result<Arc<dyn DensityBackend>> {
-    spec.validate()?;
-    match spec {
-        BackendSpec::Exact => Ok(Arc::new(kde.clone())),
-        BackendSpec::Coreset { eps } => Ok(Arc::new(CoresetKde::build(kde, *eps)?)),
-        BackendSpec::Hbe { eps, tau } => Ok(Arc::new(HbeKde::build(kde, *eps, *tau)?)),
-    }
-}
-
-// ---- Exact ---------------------------------------------------------------
-
-impl DensityBackend for MicroClusterKde {
-    fn name(&self) -> &'static str {
-        "exact"
-    }
-
-    fn dim(&self) -> usize {
-        MicroClusterKde::dim(self)
-    }
-
-    // udm-lint: allow(UDM005) delegates to the same-named validating inherent method
-    fn density(&self, x: &[f64]) -> Result<f64> {
-        let started = Instant::now();
-        let out = MicroClusterKde::density(self, x);
-        record_query("exact", started.elapsed().as_secs_f64());
-        out
-    }
-
-    fn density_subspace(
-        &self,
-        x: &[f64],
-        query_errors: Option<&[f64]>,
-        subspace: Subspace,
-    ) -> Result<f64> {
-        let started = Instant::now();
-        let out = self.density_subspace_with_error(x, query_errors, subspace);
-        record_query("exact", started.elapsed().as_secs_f64());
-        out
-    }
-
-    fn density_subspaces(
-        &self,
-        x: &[f64],
-        query_errors: Option<&[f64]>,
-        subspaces: &[Subspace],
-    ) -> Result<Vec<f64>> {
-        let started = Instant::now();
-        // One column build amortized over the whole batch; bit-identical
-        // to the naive per-subspace loop by the KernelColumns contract.
-        let cols = MicroClusterKde::kernel_columns(self, x, query_errors)?;
-        let out = subspaces.iter().map(|&s| cols.density(s)).collect();
-        record_query("exact", started.elapsed().as_secs_f64());
-        out
-    }
-
-    fn kernel_columns(
-        &self,
-        x: &[f64],
-        query_errors: Option<&[f64]>,
-    ) -> Result<Option<KernelColumns>> {
-        let started = Instant::now();
-        let out = MicroClusterKde::kernel_columns(self, x, query_errors).map(Some);
-        record_query("exact", started.elapsed().as_secs_f64());
-        out
-    }
-}
-
-// ---- Coreset -------------------------------------------------------------
-
-/// `Σ_i w_i · Π_j p_ij` — the un-normalized peak-density upper bound of
-/// the mixture (the kernel product is maximized at every diff = 0).
-/// `None` when any kernel degenerates to a point mass, which no
-/// finite-error reduction can bound.
+/// `Σ_i w_i · Π_j max(1, p_ij)` — the un-normalized peak-density upper
+/// bound of the mixture *and of every subspace marginal* (each kernel
+/// product peaks at diff = 0, and a marginal keeps a subset of the
+/// factors, each at most `max(1, p_ij)`). `None` when any kernel
+/// degenerates to a point mass, which no finite-error reduction can
+/// bound.
 fn peak_sum_of(
     pseudos: &[PseudoPoint],
     bandwidths: &[f64],
@@ -176,7 +71,7 @@ fn peak_sum_of(
         let mut prod = f64_from_count(p.weight);
         for (&bw, &dl) in bandwidths.iter().zip(p.delta.iter()) {
             let (pref, _) = kernel.factors(bw, dl)?;
-            prod *= pref;
+            prod *= pref.max(1.0);
         }
         total += prod;
     }
@@ -211,8 +106,9 @@ fn merge_pseudo(a: &PseudoPoint, b: &PseudoPoint) -> PseudoPoint {
 }
 
 /// Certified `sup_x |K_p(x) − K_m(x)|` for two product-form Gaussian
-/// kernels (see the module-level derivation). Conservative but rigorous;
-/// `inf` (merge refused) when any variance degenerates.
+/// kernels, over every subspace marginal at once (see the module-level
+/// derivation). Conservative but rigorous; `inf` (merge refused) when
+/// any variance degenerates.
 fn sup_kernel_diff(
     p: &PseudoPoint,
     m: &PseudoPoint,
@@ -238,7 +134,7 @@ fn sup_kernel_diff(
         d[j] = (pp - mp).abs()
             + mp * ((pv - mv).abs() / (std::f64::consts::E * vmin)
                 + shift * (-0.5f64).exp() / clamped_sqrt(mv));
-        maxpeak[j] = pp.max(mp);
+        maxpeak[j] = pp.max(mp).max(1.0);
     }
     let mut total = 0.0;
     for (j, &dj) in d.iter().enumerate() {
@@ -268,11 +164,12 @@ fn merge_cost(
 
 /// A bounded-`L∞`-error coreset of a micro-cluster mixture.
 ///
-/// Wraps a reduced [`MicroClusterKde`] built from merged pseudo-points,
+/// Holds a reduced [`MicroClusterKde`] built from merged pseudo-points,
 /// so evaluation (including the columnar per-query cache) reuses the
 /// exact machinery — just over fewer rows. `certified_error` is an
-/// absolute `L∞` bound on `|f_coreset − f_exact|` over all of space and
-/// every subspace's marginal mixture evaluated at matching peaks — by
+/// absolute `L∞` bound on `|f_coreset − f_exact|` over all of space, for
+/// the full mixture and every subspace marginal (and, under the
+/// `Normalized` kernel form, for error-convolved queries) — by
 /// construction it never exceeds `eps · peak_density_bound`.
 #[derive(Debug, Clone)]
 pub struct CoresetKde {
@@ -291,7 +188,7 @@ impl CoresetKde {
     ///
     /// # Errors
     ///
-    /// [`UdmError::InvalidConfig`] when `eps` leaves `(0, 1)`.
+    /// [`udm_core::UdmError::InvalidConfig`] when `eps` leaves `(0, 1)`.
     pub fn build(kde: &MicroClusterKde, eps: f64) -> Result<Self> {
         BackendSpec::Coreset { eps }.validate()?;
         let kernel = GaussianErrorKernel::new(kde.kernel_form());
@@ -401,420 +298,26 @@ impl CoresetKde {
         self.source_rows
     }
 
-    /// The certified absolute `L∞` error against the source mixture
-    /// (`≤ eps · peak_density_bound` by construction).
+    /// The certified absolute `L∞` error against the source mixture, on
+    /// every subspace (`≤ eps · peak_density_bound` by construction).
     pub fn certified_error(&self) -> f64 {
         self.certified_error
     }
 
-    /// Upper bound on the source mixture's peak density.
+    /// Upper bound on the peak density of the source mixture and of each
+    /// of its subspace marginals.
     pub fn peak_density_bound(&self) -> f64 {
         self.peak_bound
     }
 
-    /// The reduced estimator (exposed for benches and tests).
+    /// The reduced estimator — what a `coreset:EPS` consumer reads.
     pub fn inner(&self) -> &MicroClusterKde {
         &self.inner
     }
-}
 
-impl DensityBackend for CoresetKde {
-    fn name(&self) -> &'static str {
-        "coreset"
-    }
-
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    // udm-lint: allow(UDM005) delegates to the same-named validating inherent method
-    fn density(&self, x: &[f64]) -> Result<f64> {
-        let started = Instant::now();
-        let out = self.inner.density(x);
-        record_query("coreset", started.elapsed().as_secs_f64());
-        out
-    }
-
-    fn density_subspace(
-        &self,
-        x: &[f64],
-        query_errors: Option<&[f64]>,
-        subspace: Subspace,
-    ) -> Result<f64> {
-        let started = Instant::now();
-        let out = self
-            .inner
-            .density_subspace_with_error(x, query_errors, subspace);
-        record_query("coreset", started.elapsed().as_secs_f64());
-        out
-    }
-
-    fn density_subspaces(
-        &self,
-        x: &[f64],
-        query_errors: Option<&[f64]>,
-        subspaces: &[Subspace],
-    ) -> Result<Vec<f64>> {
-        let started = Instant::now();
-        let cols = self.inner.kernel_columns(x, query_errors)?;
-        let out = subspaces.iter().map(|&s| cols.density(s)).collect();
-        record_query("coreset", started.elapsed().as_secs_f64());
-        out
-    }
-
-    fn kernel_columns(
-        &self,
-        x: &[f64],
-        query_errors: Option<&[f64]>,
-    ) -> Result<Option<KernelColumns>> {
-        let started = Instant::now();
-        let out = self.inner.kernel_columns(x, query_errors).map(Some);
-        record_query("coreset", started.elapsed().as_secs_f64());
-        out
-    }
-}
-
-// ---- HBE -----------------------------------------------------------------
-
-/// xorshift64* — tiny, seedable, and good enough for importance-sample
-/// index draws.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
-/// Largest near-field candidate set evaluated exactly per query; beyond
-/// it, extra candidates are left to the far-field sampler (the split is
-/// arbitrary for unbiasedness, the cap only limits per-query cost).
-const NEAR_CAP: usize = 512;
-
-/// Hashing-based density estimator over a micro-cluster mixture.
-///
-/// Queries split the mixture into a *near field* — pseudo-points whose
-/// per-dimension grid cells neighbor the query's in every subspace
-/// dimension, evaluated exactly — and a *far field*, estimated by
-/// weighted importance sampling: `E_{i∼w/W}[K_i·1(i∉near)]` scaled by
-/// `W`, with `m = ⌈1/(eps²·√tau)⌉` draws seeded by the model fingerprint
-/// and the query bits. Any near/far split leaves the estimator unbiased;
-/// the hash just routes the dominant kernels through the exact path so
-/// variance concentrates on the flat tail.
-#[derive(Debug)]
-pub struct HbeKde {
-    inner: MicroClusterKde,
-    eps: f64,
-    tau: f64,
-    samples: usize,
-    cum_weights: Vec<f64>,
-    total_weight: f64,
-    cell_widths: Vec<f64>,
-    cells: Vec<HashMap<i64, Vec<u32>>>,
-    seed: u64,
-}
-
-impl HbeKde {
-    /// Builds the hash tables and the sampling distribution.
-    ///
-    /// # Errors
-    ///
-    /// [`UdmError::InvalidConfig`] when `eps` or `tau` leaves `(0, 1)`.
-    pub fn build(kde: &MicroClusterKde, eps: f64, tau: f64) -> Result<Self> {
-        BackendSpec::Hbe { eps, tau }.validate()?;
-        let dim = kde.dim();
-        let pseudos = kde.pseudo_points();
-        let rows = pseudos.len();
-
-        // Cell width per dimension: ~3 effective sigmas of the average
-        // kernel, so a ±1-cell probe covers the mass that matters.
-        let mut cell_widths = Vec::with_capacity(dim);
-        for j in 0..dim {
-            let h = kde.bandwidths()[j];
-            let mean_d2 = pseudos.iter().map(|p| p.delta[j] * p.delta[j]).sum::<f64>()
-                / f64_from_count(u64::try_from(rows.max(1)).unwrap_or(u64::MAX));
-            let width = 3.0 * clamped_sqrt(h * h + mean_d2);
-            cell_widths.push(if width.is_finite() && width > 0.0 {
-                width
-            } else {
-                1.0
-            });
-        }
-        let mut cells: Vec<HashMap<i64, Vec<u32>>> = vec![HashMap::new(); dim];
-        for (r, p) in pseudos.iter().enumerate() {
-            for j in 0..dim {
-                let key = cell_key(p.centroid[j], cell_widths[j]);
-                cells[j]
-                    .entry(key)
-                    .or_default()
-                    .push(u32::try_from(r).unwrap_or(u32::MAX));
-            }
-        }
-
-        let mut cum_weights = Vec::with_capacity(rows);
-        let mut acc = 0.0;
-        for p in pseudos {
-            acc += f64_from_count(p.weight);
-            cum_weights.push(acc);
-        }
-
-        // m = ceil(1/(eps²·√tau)), clamped to something sane; when m
-        // reaches the row count a full exact pass is cheaper and the
-        // estimator silently upgrades to it.
-        let raw = (1.0 / (eps * eps * tau.sqrt())).ceil();
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let samples = if raw.is_finite() {
-            (raw as usize).clamp(16, 1 << 22)
-        } else {
-            1 << 22
-        };
-
-        Ok(HbeKde {
-            inner: kde.clone(),
-            eps,
-            tau,
-            samples,
-            cum_weights,
-            total_weight: acc,
-            cell_widths,
-            cells,
-            seed: model_fingerprint(kde) | 1,
-        })
-    }
-
-    /// The configured relative-error target.
-    pub fn eps(&self) -> f64 {
-        self.eps
-    }
-
-    /// The configured density floor fraction.
-    pub fn tau(&self) -> f64 {
-        self.tau
-    }
-
-    /// Far-field sample draws per query.
-    pub fn samples(&self) -> usize {
-        self.samples
-    }
-
-    /// Near-field candidates for `(x, subspace)`: pseudo-points whose
-    /// home cell neighbors the query cell in *every* subspace dimension.
-    fn near_field(&self, x: &[f64], subspace: Subspace) -> Vec<u32> {
-        let mut result: Option<Vec<u32>> = None;
-        for j in subspace.dims() {
-            let key = cell_key(x[j], self.cell_widths[j]);
-            let mut near_j: Vec<u32> = Vec::new();
-            for k in [key - 1, key, key + 1] {
-                if let Some(bucket) = self.cells[j].get(&k) {
-                    near_j.extend_from_slice(bucket);
-                }
-            }
-            near_j.sort_unstable();
-            result = Some(match result {
-                None => near_j,
-                Some(prev) => intersect_sorted(&prev, &near_j),
-            });
-            if result.as_ref().is_some_and(Vec::is_empty) {
-                break;
-            }
-        }
-        let mut out = result.unwrap_or_default();
-        out.truncate(NEAR_CAP);
-        out
-    }
-
-    /// The weighted kernel product of pseudo-point `r` at `(x, errors)`
-    /// over `subspace` — the same arithmetic as the naive exact loop.
-    fn kernel_product(
-        &self,
-        r: usize,
-        x: &[f64],
-        query_errors: Option<&[f64]>,
-        subspace: Subspace,
-    ) -> f64 {
-        let p = &self.inner.pseudo_points()[r];
-        let kernel = GaussianErrorKernel::new(self.inner.kernel_form());
-        let mut prod = 1.0;
-        for j in subspace.dims() {
-            let psi = match query_errors {
-                Some(errs) => clamped_sqrt(p.delta[j] * p.delta[j] + errs[j] * errs[j]),
-                None => p.delta[j],
-            };
-            prod *= kernel.evaluate(x[j] - p.centroid[j], self.inner.bandwidths()[j], psi);
-            // udm-lint: allow(UDM002) exact underflow short-circuit (bit-for-bit cache contract)
-            if prod == 0.0 {
-                break;
-            }
-        }
-        prod
-    }
-
-    /// One estimated subspace density (validation already done by the
-    /// public entry points).
-    fn density_estimate(
-        &self,
-        x: &[f64],
-        query_errors: Option<&[f64]>,
-        subspace: Subspace,
-        rng: &mut u64,
-    ) -> f64 {
-        let rows = self.inner.pseudo_points().len();
-        let n = f64_from_count(self.inner.total_points());
-        if self.samples >= rows {
-            // Sampling would draw more kernels than exist: a full exact
-            // pass is both cheaper and error-free.
-            let total: f64 = (0..rows)
-                .map(|r| {
-                    f64_from_count(self.inner.pseudo_points()[r].weight)
-                        * self.kernel_product(r, x, query_errors, subspace)
-                })
-                .sum();
-            return total / n;
-        }
-
-        let near = self.near_field(x, subspace);
-        let mut in_near = vec![false; rows];
-        let mut near_sum = 0.0;
-        for &r in &near {
-            let r = r as usize;
-            in_near[r] = true;
-            near_sum += f64_from_count(self.inner.pseudo_points()[r].weight)
-                * self.kernel_product(r, x, query_errors, subspace);
-        }
-
-        let mut far_acc = 0.0;
-        for _ in 0..self.samples {
-            let u = (xorshift(rng) >> 11) as f64 / (1u64 << 53) as f64 * self.total_weight;
-            let idx = self.cum_weights.partition_point(|&c| c <= u).min(rows - 1);
-            if !in_near[idx] {
-                far_acc += self.kernel_product(idx, x, query_errors, subspace);
-            }
-        }
-        #[allow(clippy::cast_precision_loss)]
-        let far = self.total_weight * far_acc / self.samples as f64;
-        (near_sum + far) / n
-    }
-
-    fn validate(&self, x: &[f64], query_errors: Option<&[f64]>) -> Result<()> {
-        let dim = self.inner.dim();
-        if x.len() != dim {
-            return Err(UdmError::DimensionMismatch {
-                expected: dim,
-                actual: x.len(),
-            });
-        }
-        if let Some(errs) = query_errors {
-            if errs.len() != dim {
-                return Err(UdmError::DimensionMismatch {
-                    expected: dim,
-                    actual: errs.len(),
-                });
-            }
-        }
-        ensure_finite_slice("query coordinate", x)?;
-        ensure_finite_slice_opt("query error", query_errors)?;
-        Ok(())
-    }
-
-    /// Per-query RNG state: model fingerprint xor query/error/subspace
-    /// bits — identical inputs always draw identical samples.
-    fn query_seed(&self, x: &[f64], query_errors: Option<&[f64]>, subspaces: &[Subspace]) -> u64 {
-        let mut h = fnv1a_f64s(self.seed, x);
-        if let Some(errs) = query_errors {
-            h = fnv1a_f64s(h, errs);
-        }
-        for s in subspaces {
-            h = fnv1a(h, &s.bits().to_le_bytes());
-        }
-        h | 1
-    }
-}
-
-fn cell_key(value: f64, width: f64) -> i64 {
-    let k = (value / width).floor();
-    if k.is_finite() {
-        // Cell indices of finite inputs over sane widths fit i64 by a
-        // huge margin; saturate rather than wrap at the extremes.
-        #[allow(clippy::cast_possible_truncation)]
-        if k >= i64::MAX as f64 {
-            i64::MAX
-        } else if k <= i64::MIN as f64 {
-            i64::MIN
-        } else {
-            k as i64
-        }
-    } else {
-        0
-    }
-}
-
-fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
-impl DensityBackend for HbeKde {
-    fn name(&self) -> &'static str {
-        "hbe"
-    }
-
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    fn density(&self, x: &[f64]) -> Result<f64> {
-        self.density_subspace(x, None, Subspace::full(self.inner.dim())?)
-    }
-
-    fn density_subspace(
-        &self,
-        x: &[f64],
-        query_errors: Option<&[f64]>,
-        subspace: Subspace,
-    ) -> Result<f64> {
-        Ok(self
-            .density_subspaces(x, query_errors, &[subspace])?
-            .pop()
-            .unwrap_or(0.0))
-    }
-
-    fn density_subspaces(
-        &self,
-        x: &[f64],
-        query_errors: Option<&[f64]>,
-        subspaces: &[Subspace],
-    ) -> Result<Vec<f64>> {
-        let started = Instant::now();
-        self.validate(x, query_errors)?;
-        let dim = self.inner.dim();
-        for s in subspaces {
-            s.validate_for(dim)?;
-            if s.is_empty() {
-                return Err(UdmError::InvalidConfig(
-                    "cannot evaluate a density over the empty subspace".into(),
-                ));
-            }
-        }
-        let mut rng = self.query_seed(x, query_errors, subspaces);
-        let out = subspaces
-            .iter()
-            .map(|&s| self.density_estimate(x, query_errors, s, &mut rng))
-            .collect();
-        record_query("hbe", started.elapsed().as_secs_f64());
-        Ok(out)
+    /// Consumes the coreset, keeping only the reduced estimator.
+    pub fn into_inner(self) -> MicroClusterKde {
+        self.inner
     }
 }
 
@@ -822,7 +325,7 @@ impl DensityBackend for HbeKde {
 mod tests {
     use super::*;
     use crate::maintainer::{MaintainerConfig, MicroClusterMaintainer};
-    use udm_core::{UncertainDataset, UncertainPoint};
+    use udm_core::{Subspace, UncertainDataset, UncertainPoint};
     use udm_kde::KdeConfig;
 
     fn fitted(n: usize, q: usize) -> MicroClusterKde {
@@ -839,49 +342,29 @@ mod tests {
     }
 
     #[test]
-    fn exact_backend_is_bit_identical_through_the_trait() {
-        let kde = fitted(300, 24);
-        let be: &dyn DensityBackend = &kde;
-        assert_eq!(be.name(), "exact");
-        assert_eq!(be.dim(), 2);
-        let x = [4.2, -0.3];
-        let errs = [0.2, 0.1];
-        for s in [
-            Subspace::full(2).unwrap(),
-            Subspace::singleton(0).unwrap(),
-            Subspace::singleton(1).unwrap(),
-        ] {
-            let direct = kde.density_subspace_with_error(&x, Some(&errs), s).unwrap();
-            let via = be.density_subspace(&x, Some(&errs), s).unwrap();
-            assert_eq!(direct.to_bits(), via.to_bits());
-        }
-        let direct = MicroClusterKde::density(&kde, &x).unwrap();
-        assert_eq!(direct.to_bits(), be.density(&x).unwrap().to_bits());
-        let subs = [Subspace::full(2).unwrap(), Subspace::singleton(1).unwrap()];
-        let batch = be.density_subspaces(&x, None, &subs).unwrap();
-        for (got, &s) in batch.iter().zip(subs.iter()) {
-            let want = kde.density_subspace_with_error(&x, None, s).unwrap();
-            assert_eq!(got.to_bits(), want.to_bits());
-        }
-        assert!(be.kernel_columns(&x, None).unwrap().is_some());
-    }
-
-    #[test]
     fn coreset_reduces_rows_and_respects_certified_bound() {
         let kde = fitted(500, 48);
         let coreset = CoresetKde::build(&kde, 0.2).unwrap();
         assert!(coreset.rows() < coreset.source_rows(), "nothing merged");
         assert!(coreset.certified_error() <= 0.2 * coreset.peak_density_bound() + 1e-12);
-        let full = Subspace::full(2).unwrap();
-        for i in 0..40 {
-            let x = [i as f64 * 0.25, (i % 7) as f64 - 3.0];
-            let exact = kde.density_subspace_with_error(&x, None, full).unwrap();
-            let approx = coreset.density_subspace(&x, None, full).unwrap();
-            assert!(
-                (exact - approx).abs() <= coreset.certified_error() + 1e-12,
-                "x={x:?}: |{exact} - {approx}| > {}",
-                coreset.certified_error()
-            );
+        for s in [
+            Subspace::full(2).unwrap(),
+            Subspace::singleton(0).unwrap(),
+            Subspace::singleton(1).unwrap(),
+        ] {
+            for i in 0..40 {
+                let x = [i as f64 * 0.25, (i % 7) as f64 - 3.0];
+                let exact = kde.density_subspace_with_error(&x, None, s).unwrap();
+                let approx = coreset
+                    .inner()
+                    .density_subspace_with_error(&x, None, s)
+                    .unwrap();
+                assert!(
+                    (exact - approx).abs() <= coreset.certified_error() + 1e-12,
+                    "x={x:?} {s:?}: |{exact} - {approx}| > {}",
+                    coreset.certified_error()
+                );
+            }
         }
     }
 
@@ -894,8 +377,14 @@ mod tests {
         let x = [1.0, 0.5];
         let s = Subspace::full(2).unwrap();
         assert_eq!(
-            a.density_subspace(&x, None, s).unwrap().to_bits(),
-            b.density_subspace(&x, None, s).unwrap().to_bits()
+            a.inner()
+                .density_subspace_with_error(&x, None, s)
+                .unwrap()
+                .to_bits(),
+            b.into_inner()
+                .density_subspace_with_error(&x, None, s)
+                .unwrap()
+                .to_bits()
         );
     }
 
@@ -908,84 +397,93 @@ mod tests {
     }
 
     #[test]
-    fn hbe_is_deterministic_and_close_on_dense_regions() {
-        let kde = fitted(600, 64);
-        let hbe = HbeKde::build(&kde, 0.1, 0.05).unwrap();
-        assert_eq!(hbe.name(), "hbe");
-        let full = Subspace::full(2).unwrap();
-        let x = [5.0, 0.0];
-        let a = hbe.density_subspace(&x, None, full).unwrap();
-        let b = hbe.density_subspace(&x, None, full).unwrap();
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "same query must redraw the same samples"
-        );
-        let exact = kde.density_subspace_with_error(&x, None, full).unwrap();
-        assert!(
-            (a - exact).abs() <= 0.5 * exact.max(1e-12),
-            "hbe {a} vs exact {exact}"
-        );
-        // No columnar form.
-        assert!(hbe.kernel_columns(&x, None).unwrap().is_none());
+    fn peak_bound_covers_every_marginal_peak() {
+        // Spread-out data puts every per-dimension kernel peak below 1,
+        // so each singleton marginal peaks above the full-space product.
+        let points = (0..300)
+            .map(|i| {
+                let x = (i as f64 * 0.618_033_988_749).fract() * 100.0;
+                let y = (i as f64 * 0.414_213_562_373).fract() * 60.0;
+                UncertainPoint::new(vec![x, y], vec![1.0, 2.0]).unwrap()
+            })
+            .collect();
+        let d = UncertainDataset::from_points(points).unwrap();
+        let m = MicroClusterMaintainer::from_dataset(&d, MaintainerConfig::new(24)).unwrap();
+        let kde = MicroClusterKde::fit(m.clusters(), KdeConfig::error_adjusted()).unwrap();
+        let bound = CoresetKde::build(&kde, 0.1).unwrap().peak_density_bound();
+        for p in kde.pseudo_points() {
+            for s in [
+                Subspace::full(2).unwrap(),
+                Subspace::singleton(0).unwrap(),
+                Subspace::singleton(1).unwrap(),
+            ] {
+                let d = kde
+                    .density_subspace_with_error(&p.centroid, None, s)
+                    .unwrap();
+                assert!(d <= bound, "{s:?}: density {d} above peak bound {bound}");
+            }
+        }
     }
 
     #[test]
-    fn hbe_small_model_upgrades_to_exact() {
-        let kde = fitted(100, 8);
-        let hbe = HbeKde::build(&kde, 0.2, 0.25).unwrap();
-        // 8 rows < samples: the estimator runs the full pass.
-        assert!(hbe.samples() >= 8);
-        let s = Subspace::full(2).unwrap();
-        let x = [2.0, 1.0];
-        let got = hbe.density_subspace(&x, None, s).unwrap();
-        let want = kde.density_subspace_with_error(&x, None, s).unwrap();
-        assert!((got - want).abs() < 1e-12, "{got} vs {want}");
-    }
-
-    #[test]
-    fn backends_validate_inputs() {
+    fn exact_and_coreset_paths_validate_inputs() {
         let kde = fitted(200, 16);
-        let specs = [
-            BackendSpec::Exact,
-            BackendSpec::Coreset { eps: 0.1 },
-            BackendSpec::Hbe { eps: 0.2, tau: 0.1 },
-        ];
-        for spec in &specs {
-            let be = build_backend(&kde, spec).unwrap();
-            assert_eq!(be.name(), spec.name());
-            assert!(be.density(&[0.0]).is_err(), "{spec}: arity unchecked");
+        let coreset = CoresetKde::build(&kde, 0.1).unwrap();
+        let full = Subspace::full(2).unwrap();
+        for (name, mixture) in [("exact", &kde), ("coreset", coreset.inner())] {
+            assert!(mixture.density(&[0.0]).is_err(), "{name}: arity unchecked");
             assert!(
-                be.density_subspace(&[f64::NAN, 0.0], None, Subspace::full(2).unwrap())
-                    .is_err(),
-                "{spec}: NaN unchecked"
+                mixture.kernel_columns(&[0.0], None).is_err(),
+                "{name}: column arity unchecked"
             );
             assert!(
-                be.density_subspace(&[0.0, 0.0], Some(&[0.1]), Subspace::full(2).unwrap())
+                mixture
+                    .density_subspace_with_error(&[f64::NAN, 0.0], None, full)
                     .is_err(),
-                "{spec}: error arity unchecked"
+                "{name}: NaN unchecked"
             );
             assert!(
-                be.density_subspace(&[0.0, 0.0], None, Subspace::EMPTY)
+                mixture.kernel_columns(&[f64::NAN, 0.0], None).is_err(),
+                "{name}: column NaN unchecked"
+            );
+            assert!(
+                mixture
+                    .density_subspace_with_error(&[0.0, 0.0], Some(&[0.1]), full)
                     .is_err(),
-                "{spec}: empty subspace unchecked"
+                "{name}: error arity unchecked"
+            );
+            assert!(
+                mixture.kernel_columns(&[0.0, 0.0], Some(&[0.1])).is_err(),
+                "{name}: column error arity unchecked"
+            );
+            assert!(
+                mixture
+                    .kernel_columns(&[0.0, 0.0], Some(&[f64::NAN, 0.1]))
+                    .is_err(),
+                "{name}: column NaN error unchecked"
+            );
+            assert!(
+                mixture
+                    .density_subspace_with_error(&[0.0, 0.0], None, Subspace::EMPTY)
+                    .is_err(),
+                "{name}: empty subspace unchecked"
+            );
+            assert!(
+                mixture
+                    .kernel_columns(&[0.0, 0.0], None)
+                    .unwrap()
+                    .density(Subspace::EMPTY)
+                    .is_err(),
+                "{name}: column empty subspace unchecked"
             );
         }
     }
 
     #[test]
-    fn build_backend_rejects_bad_specs() {
+    fn build_rejects_bad_eps() {
         let kde = fitted(100, 8);
-        assert!(build_backend(&kde, &BackendSpec::Coreset { eps: 0.0 }).is_err());
-        assert!(build_backend(&kde, &BackendSpec::Hbe { eps: 0.1, tau: 2.0 }).is_err());
-    }
-
-    #[test]
-    fn fingerprint_tracks_model_bits() {
-        let a = fitted(200, 16);
-        let b = fitted(200, 16);
-        let c = fitted(201, 16);
-        assert_eq!(model_fingerprint(&a), model_fingerprint(&b));
-        assert_ne!(model_fingerprint(&a), model_fingerprint(&c));
+        for eps in [0.0, 1.0, -0.5, f64::NAN] {
+            assert!(CoresetKde::build(&kde, eps).is_err(), "accepted eps {eps}");
+        }
     }
 }

@@ -35,8 +35,8 @@
 //!   clusters (never created after warm-up, never discarded),
 //! * [`pseudo`] — Lemma 1 pseudo-points,
 //! * [`density`] — the micro-cluster density estimator (Eqs. 9–10),
-//! * [`backend`] — the `Exact` / `CoresetKde` / `HbeKde` implementations
-//!   of `udm_kde::backend::DensityBackend`, plus [`build_backend`],
+//! * [`backend`] — [`CoresetKde`], the certified reduction that answers
+//!   `coreset:EPS` (`exact` reads [`MicroClusterKde`] itself),
 //! * [`snapshot`] — JSON persistence of maintainer state,
 //! * [`ingest`] — fault-tolerant ingest: per-record Accept / Repair /
 //!   Quarantine / Reject verdicts under a configurable degradation
@@ -67,7 +67,7 @@ pub mod pyramid;
 pub mod shard;
 pub mod snapshot;
 
-pub use backend::{build_backend, model_fingerprint, CoresetKde, HbeKde};
+pub use backend::CoresetKde;
 pub use checkpoint::{
     load_checkpoint, load_checkpoint_with_fallback, save_checkpoint, CheckpointDriver,
     CheckpointPayload, SCHEMA_VERSION,

@@ -1,24 +1,25 @@
-//! Randomized cross-backend contracts (satellite proptests for the
-//! pluggable-backend refactor):
+//! Randomized contracts of the two density backends every consumer reads:
 //!
-//! 1. the `Exact` backend answers **bit-identically** to the inherent
-//!    `MicroClusterKde` entry points it wraps, over random models,
-//!    random queries, random query errors, and random subspaces;
-//! 2. a `CoresetKde` never deviates from the exact density by more than
-//!    its own `certified_error()` bound, and that bound respects the
-//!    requested `eps` times the model's peak density bound;
-//! 3. the `Hbe` backend is deterministic: the same (model, query,
-//!    subspace) pair always reproduces the same bits.
+//! 1. the **exact** backend: the kernel-column path that the classifier
+//!    roll-up and the serve daemon read (`kernel_columns(..).density(S)`)
+//!    answers **bit-identically** to the inherent `MicroClusterKde`
+//!    entry points, over random models, random queries, random query
+//!    errors, and random subspaces — for the fitted mixture and for a
+//!    coreset's reduced one;
+//! 2. the **coreset** backend: a `CoresetKde` never deviates from the
+//!    exact density by more than its own `certified_error()` on *any*
+//!    subspace — with and without query errors under the `Normalized`
+//!    kernel form, without query errors under `PaperFaithful` — and that
+//!    bound respects the requested `eps` times the model's peak density
+//!    bound;
+//! 3. the coreset construction is deterministic across rebuilds.
 //!
 //! The generator is a hand-rolled xorshift so every case is replayable
 //! from the printed seed — no external property-testing dependency.
 
-use std::sync::Arc;
 use udm_core::{Subspace, UncertainPoint};
-use udm_kde::{BackendSpec, DensityBackend, KdeConfig};
-use udm_microcluster::{
-    build_backend, CoresetKde, MaintainerConfig, MicroClusterKde, MicroClusterMaintainer,
-};
+use udm_kde::{ErrorKernelForm, KdeConfig};
+use udm_microcluster::{CoresetKde, MaintainerConfig, MicroClusterKde, MicroClusterMaintainer};
 
 /// xorshift64* — deterministic, seed-replayable case generation.
 struct Rng(u64);
@@ -55,9 +56,16 @@ impl Rng {
 }
 
 /// Fits a random micro-cluster KDE: `n` clustered points in `dim`
-/// dimensions with random per-dimension errors, compressed to `q`
-/// pseudo-points.
-fn random_model(rng: &mut Rng, dim: usize, n: usize, q: usize) -> MicroClusterKde {
+/// dimensions with random per-dimension errors drawn from `errors`,
+/// compressed to `q` pseudo-points.
+fn random_model(
+    rng: &mut Rng,
+    dim: usize,
+    n: usize,
+    q: usize,
+    errors: (f64, f64),
+    form: ErrorKernelForm,
+) -> MicroClusterKde {
     let mut maintainer = MicroClusterMaintainer::new(dim, MaintainerConfig::new(q)).unwrap();
     let modes = 2 + rng.below(3);
     let centers: Vec<Vec<f64>> = (0..modes)
@@ -66,13 +74,17 @@ fn random_model(rng: &mut Rng, dim: usize, n: usize, q: usize) -> MicroClusterKd
     for t in 0..n {
         let c = &centers[rng.below(modes)];
         let values: Vec<f64> = c.iter().map(|&m| m + rng.range(-1.0, 1.0)).collect();
-        let errors: Vec<f64> = (0..dim).map(|_| rng.range(0.0, 0.5)).collect();
-        let p = UncertainPoint::new(values, errors)
+        let psi: Vec<f64> = (0..dim).map(|_| rng.range(errors.0, errors.1)).collect();
+        let p = UncertainPoint::new(values, psi)
             .unwrap()
             .with_timestamp(t as u64);
         maintainer.insert(&p).unwrap();
     }
-    MicroClusterKde::fit(maintainer.clusters(), KdeConfig::error_adjusted()).unwrap()
+    let config = KdeConfig {
+        form,
+        ..KdeConfig::error_adjusted()
+    };
+    MicroClusterKde::fit(maintainer.clusters(), config).unwrap()
 }
 
 /// A random non-empty subspace of `dim` dimensions.
@@ -95,6 +107,39 @@ fn random_query(rng: &mut Rng, dim: usize) -> (Vec<f64>, Option<Vec<f64>>) {
     (x, errors)
 }
 
+/// Every subspace of `dim` dimensions the roll-up can visit: all
+/// singletons, the full space, and a few random ones.
+fn subspaces_to_check(rng: &mut Rng, dim: usize) -> Vec<Subspace> {
+    let mut out: Vec<Subspace> = (0..dim).map(|d| Subspace::singleton(d).unwrap()).collect();
+    out.push(Subspace::full(dim).unwrap());
+    out.extend((0..3).map(|_| random_subspace(rng, dim)));
+    out
+}
+
+/// Asserts the columnar path is bit-identical to the scalar entry
+/// points of `kde` at one random query and subspace.
+fn assert_columns_match_scalar(kde: &MicroClusterKde, rng: &mut Rng, dim: usize, seed: u64) {
+    let (x, errors) = random_query(rng, dim);
+    let sub = random_subspace(rng, dim);
+    let want = kde
+        .density_subspace_with_error(&x, errors.as_deref(), sub)
+        .unwrap();
+    let cols = kde.kernel_columns(&x, errors.as_deref()).unwrap();
+    assert_eq!(
+        cols.density(sub).unwrap().to_bits(),
+        want.to_bits(),
+        "columnar subspace density diverged, case seed {seed}"
+    );
+    let full = Subspace::full(dim).unwrap();
+    let want_full = kde.density(&x).unwrap();
+    let cols = kde.kernel_columns(&x, None).unwrap();
+    assert_eq!(
+        cols.density(full).unwrap().to_bits(),
+        want_full.to_bits(),
+        "columnar full-space density diverged, case seed {seed}"
+    );
+}
+
 #[test]
 fn exact_backend_is_bit_identical_on_random_models() {
     for case in 0..12u64 {
@@ -103,51 +148,57 @@ fn exact_backend_is_bit_identical_on_random_models() {
         let dim = 1 + rng.below(4);
         let n = 40 + rng.below(160);
         let q = 8 + rng.below(24);
-        let kde = random_model(&mut rng, dim, n, q);
-        let backend = build_backend(&kde, &BackendSpec::Exact).unwrap();
-        assert_eq!(backend.name(), "exact", "case seed {seed}");
+        let kde = random_model(&mut rng, dim, n, q, (0.0, 0.5), ErrorKernelForm::Normalized);
+        let coreset = CoresetKde::build(&kde, 0.2).unwrap();
         for _ in 0..16 {
-            let (x, errors) = random_query(&mut rng, dim);
-            let sub = random_subspace(&mut rng, dim);
-
-            let want_full = kde.density(&x).unwrap();
-            let got_full = backend.density(&x).unwrap();
-            assert_eq!(
-                got_full.to_bits(),
-                want_full.to_bits(),
-                "full-space density diverged, case seed {seed}"
-            );
-
-            let want = kde
-                .density_subspace_with_error(&x, errors.as_deref(), sub)
-                .unwrap();
-            let got = backend
-                .density_subspace(&x, errors.as_deref(), sub)
-                .unwrap();
-            assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "subspace density diverged, case seed {seed}"
-            );
-
-            // The batch entry and the columnar cache agree bit-for-bit
-            // with the scalar entry points.
-            let many = backend
-                .density_subspaces(&x, errors.as_deref(), &[sub])
-                .unwrap();
-            assert_eq!(many.len(), 1);
-            assert_eq!(many[0].to_bits(), want.to_bits(), "case seed {seed}");
-            let cols = backend
-                .kernel_columns(&x, errors.as_deref())
-                .unwrap()
-                .expect("exact backend factorizes");
-            assert_eq!(
-                cols.density(sub).unwrap().to_bits(),
-                want.to_bits(),
-                "columnar density diverged, case seed {seed}"
-            );
+            assert_columns_match_scalar(&kde, &mut rng, dim, seed);
+            assert_columns_match_scalar(coreset.inner(), &mut rng, dim, seed);
         }
     }
+}
+
+/// Checks the certificate of `coreset` against `kde` on every subspace
+/// [`subspaces_to_check`] yields, at `queries` random points (with
+/// query errors half the time when `query_errors`). Returns the worst
+/// observed `error / certified_error` ratio.
+fn check_certificate(
+    kde: &MicroClusterKde,
+    coreset: &CoresetKde,
+    rng: &mut Rng,
+    queries: usize,
+    query_errors: bool,
+    seed: u64,
+) -> f64 {
+    let dim = kde.dim();
+    let budget = coreset.certified_error();
+    let mut worst: f64 = 0.0;
+    for _ in 0..queries {
+        let (x, errors) = random_query(rng, dim);
+        let errors = errors.filter(|_| query_errors);
+        for sub in subspaces_to_check(rng, dim) {
+            let exact = kde
+                .density_subspace_with_error(&x, errors.as_deref(), sub)
+                .unwrap();
+            let approx = coreset
+                .inner()
+                .kernel_columns(&x, errors.as_deref())
+                .unwrap()
+                .density(sub)
+                .unwrap();
+            let err = (approx - exact).abs();
+            // Absolute L∞ guarantee plus float slack from the bound
+            // arithmetic itself.
+            let slack = budget + 1e-9 * (1.0 + exact.abs());
+            assert!(
+                err <= slack,
+                "{sub:?}, errors {errors:?}: |{approx} - {exact}| > {slack}, case seed {seed}"
+            );
+            if budget > 0.0 {
+                worst = worst.max(err / budget);
+            }
+        }
+    }
+    worst
 }
 
 #[test]
@@ -158,7 +209,7 @@ fn coreset_respects_its_certified_error_on_random_models() {
         let dim = 1 + rng.below(3);
         let n = 60 + rng.below(200);
         let q = 16 + rng.below(32);
-        let kde = random_model(&mut rng, dim, n, q);
+        let kde = random_model(&mut rng, dim, n, q, (0.0, 0.5), ErrorKernelForm::Normalized);
         let eps = rng.range(0.01, 0.3);
         let coreset = CoresetKde::build(&kde, eps).unwrap();
         assert!(
@@ -170,55 +221,90 @@ fn coreset_respects_its_certified_error_on_random_models() {
             budget <= eps * coreset.peak_density_bound() + 1e-12,
             "certified error {budget} above eps budget, case seed {seed}"
         );
-        for _ in 0..24 {
-            let (x, _) = random_query(&mut rng, dim);
-            let exact = kde.density(&x).unwrap();
-            let approx = coreset.density(&x).unwrap();
-            // Absolute L∞ guarantee plus float slack from the bound
-            // arithmetic itself.
-            let slack = budget + 1e-9 * (1.0 + exact.abs());
-            assert!(
-                (approx - exact).abs() <= slack,
-                "|{approx} - {exact}| > {slack} (eps {eps}), case seed {seed}"
-            );
-        }
+        check_certificate(&kde, &coreset, &mut rng, 24, true, seed);
+    }
+}
+
+/// Wide data errors put per-dimension kernel peaks below 1, the regime
+/// where a marginal's error can exceed a bound computed over the full
+/// product. The certificate must hold on singleton and random
+/// subspaces, with and without query errors.
+#[test]
+fn coreset_certificate_holds_on_every_subspace() {
+    let (mut merged, mut worst) = (0usize, 0.0f64);
+    for case in 0..40u64 {
+        let seed = 0xBEEF + case;
+        let mut rng = Rng::new(seed);
+        let dim = 2 + rng.below(3);
+        let n = 80 + rng.below(150);
+        let q = 16 + rng.below(24);
+        let kde = random_model(&mut rng, dim, n, q, (0.5, 2.0), ErrorKernelForm::Normalized);
+        let eps = rng.range(0.05, 0.3);
+        let coreset = CoresetKde::build(&kde, eps).unwrap();
+        merged += coreset.source_rows() - coreset.rows();
+        worst = worst.max(check_certificate(&kde, &coreset, &mut rng, 200, true, seed));
+    }
+    // The certificate must not be bought by refusing every merge.
+    assert!(merged > 0, "no model merged a single pair");
+    assert!(worst <= 1.0, "worst error/certificate ratio {worst}");
+}
+
+/// `PaperFaithful` kernels are not a convolution of the error-free
+/// kernel, so the certificate covers their error-free queries only.
+#[test]
+fn coreset_certificate_holds_on_every_subspace_paper_faithful() {
+    for case in 0..12u64 {
+        let seed = 0xFA17_0000 + case;
+        let mut rng = Rng::new(seed);
+        let dim = 2 + rng.below(3);
+        let n = 80 + rng.below(150);
+        let q = 16 + rng.below(24);
+        let kde = random_model(
+            &mut rng,
+            dim,
+            n,
+            q,
+            (0.0, 2.0),
+            ErrorKernelForm::PaperFaithful,
+        );
+        let coreset = CoresetKde::build(&kde, rng.range(0.05, 0.3)).unwrap();
+        check_certificate(&kde, &coreset, &mut rng, 24, false, seed);
     }
 }
 
 #[test]
-fn approximate_backends_are_deterministic_across_rebuilds() {
+fn coreset_is_deterministic_across_rebuilds() {
     for case in 0..4u64 {
         let seed = 0xDE7E_3713 + case;
         let mut rng = Rng::new(seed);
         let dim = 1 + rng.below(3);
-        let kde = random_model(&mut rng, dim, 120, 24);
-        let specs = [
-            BackendSpec::Coreset { eps: 0.1 },
-            BackendSpec::Hbe {
-                eps: 0.25,
-                tau: 0.02,
-            },
-        ];
-        for spec in specs {
-            let a: Arc<dyn DensityBackend> = build_backend(&kde, &spec).unwrap();
-            let b: Arc<dyn DensityBackend> = build_backend(&kde, &spec).unwrap();
-            for _ in 0..12 {
-                let (x, errors) = random_query(&mut rng, dim);
-                let sub = random_subspace(&mut rng, dim);
-                let first = a.density_subspace(&x, errors.as_deref(), sub).unwrap();
-                let again = a.density_subspace(&x, errors.as_deref(), sub).unwrap();
-                let rebuilt = b.density_subspace(&x, errors.as_deref(), sub).unwrap();
-                assert_eq!(
-                    first.to_bits(),
-                    again.to_bits(),
-                    "{spec} not stable across repeat queries, case seed {seed}"
-                );
-                assert_eq!(
-                    first.to_bits(),
-                    rebuilt.to_bits(),
-                    "{spec} not stable across rebuilds, case seed {seed}"
-                );
-            }
+        let kde = random_model(
+            &mut rng,
+            dim,
+            120,
+            24,
+            (0.0, 0.5),
+            ErrorKernelForm::Normalized,
+        );
+        let a = CoresetKde::build(&kde, 0.1).unwrap();
+        let b = CoresetKde::build(&kde, 0.1).unwrap();
+        assert_eq!(a.rows(), b.rows(), "case seed {seed}");
+        for _ in 0..12 {
+            let (x, errors) = random_query(&mut rng, dim);
+            let sub = random_subspace(&mut rng, dim);
+            let first = a
+                .inner()
+                .density_subspace_with_error(&x, errors.as_deref(), sub)
+                .unwrap();
+            let rebuilt = b
+                .inner()
+                .density_subspace_with_error(&x, errors.as_deref(), sub)
+                .unwrap();
+            assert_eq!(
+                first.to_bits(),
+                rebuilt.to_bits(),
+                "coreset not stable across rebuilds, case seed {seed}"
+            );
         }
     }
 }

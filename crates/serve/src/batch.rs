@@ -18,7 +18,8 @@ use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
 use udm_core::{Result, Subspace, UdmError};
-use udm_kde::{DensityBackend, KernelColumns};
+use udm_kde::KernelColumns;
+use udm_microcluster::MicroClusterKde;
 
 /// Batching knobs.
 #[derive(Debug, Clone)]
@@ -153,20 +154,19 @@ impl BatchQueue {
             // The Arc keeps the generation alive for the whole batch:
             // every job in it is answered by one coherent model, through
             // the snapshot's default density backend.
-            let snap = store.load().filter(|s| s.kde.is_some());
+            let snap = store.load();
             udm_observe::histogram_observe!("udm_serve_batch_size", batch.len() as f64);
             udm_observe::counter_inc!("udm_serve_density_batches_total");
-            match snap.as_ref().map(|s| s.backend()) {
-                Some(Ok(Some(backend))) => evaluate_batch(backend.as_ref(), batch),
-                Some(Err(err)) => {
-                    for job in batch {
-                        let _ = job.reply.send(Err(err.clone()));
-                    }
-                }
-                Some(Ok(None)) | None => {
-                    for job in batch {
-                        let _ = job.reply.send(Err(UdmError::EmptyDataset));
-                    }
+            let answered = match &snap {
+                Some(snap) => snap.with_kde(&snap.backend_spec, |kde| {
+                    evaluate_batch(kde, &batch);
+                    Ok(())
+                }),
+                None => Err(UdmError::EmptyDataset),
+            };
+            if let Err(err) = answered {
+                for job in &batch {
+                    let _ = job.reply.send(Err(err.clone()));
                 }
             }
         }
@@ -200,25 +200,19 @@ impl BatchQueue {
 /// Evaluates one batch: one `KernelColumns` build per unique query, one
 /// density evaluation per unique (query, subspace), every duplicate
 /// answered from the memo. Per-job errors are delivered per job, so a
-/// poisoned query cannot fail its neighbors.
-///
-/// With a columnar backend (`Exact`, `Coreset`) the arithmetic is the
-/// same column build + evaluate the solo handler performs, so results
-/// stay bit-identical to the unbatched path. A backend without a
-/// columnar form (`Hbe` returns `Ok(None)`) is evaluated per unique
-/// (query, subspace) through [`DensityBackend::density_subspace`] —
-/// still deduplicated, just without a shared column cache.
-fn evaluate_batch(backend: &dyn DensityBackend, batch: Vec<Job>) {
+/// poisoned query cannot fail its neighbors. The arithmetic is the same
+/// column build + evaluate the solo handler performs, so results stay
+/// bit-identical to the unbatched path.
+fn evaluate_batch(kde: &MicroClusterKde, batch: &[Job]) {
     let batch_size = batch.len();
-    let mut columns: Vec<Result<Option<KernelColumns>>> = Vec::new();
+    let mut columns: Vec<Result<KernelColumns>> = Vec::new();
     let mut index: HashMap<QueryKey, usize> = HashMap::new();
     let mut memo: HashMap<(usize, u64), f64> = HashMap::new();
-    for job in &batch {
+    for job in batch {
         let key = QueryKey::of(&job.values, job.errors.as_deref());
         if let std::collections::hash_map::Entry::Vacant(slot) = index.entry(key) {
-            let built = backend.kernel_columns(&job.values, job.errors.as_deref());
             slot.insert(columns.len());
-            columns.push(built);
+            columns.push(kde.kernel_columns(&job.values, job.errors.as_deref()));
         }
     }
     let unique_builds = columns.len();
@@ -229,31 +223,21 @@ fn evaluate_batch(backend: &dyn DensityBackend, batch: Vec<Job>) {
     for job in batch {
         let key = QueryKey::of(&job.values, job.errors.as_deref());
         let result = match index.get(&key).map(|&slot| (slot, &columns[slot])) {
-            Some((slot, Ok(cached))) => {
+            Some((slot, Ok(cols))) => {
                 let memo_key = (slot, job.subspace.bits());
-                let (density, columnar) = match memo.get(&memo_key) {
-                    Some(&d) => (Ok(d), cached.as_ref().is_some_and(|c| c.is_columnar())),
+                let density = match memo.get(&memo_key) {
+                    Some(&d) => Ok(d),
                     None => {
-                        let (d, columnar) = match cached {
-                            Some(cols) => (cols.density(job.subspace), cols.is_columnar()),
-                            None => (
-                                backend.density_subspace(
-                                    &job.values,
-                                    job.errors.as_deref(),
-                                    job.subspace,
-                                ),
-                                false,
-                            ),
-                        };
+                        let d = cols.density(job.subspace);
                         if let Ok(v) = d {
                             memo.insert(memo_key, v);
                         }
-                        (d, columnar)
+                        d
                     }
                 };
                 density.map(|density| DensityReply {
                     density,
-                    columnar,
+                    columnar: cols.is_columnar(),
                     batch_size,
                     unique_builds,
                 })

@@ -10,9 +10,11 @@ use crate::batch::BatchQueue;
 use crate::snapshot::{ModelSnapshot, SnapshotStore};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
+use std::time::Instant;
 use udm_core::num::ensure_finite_slice;
 use udm_core::{Result, Subspace, UdmError};
-use udm_kde::{BackendSpec, DensityBackend};
+use udm_kde::backend::record_query;
+use udm_kde::BackendSpec;
 
 /// A `/density` request body.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -23,11 +25,10 @@ pub struct DensityRequest {
     pub errors: Option<Vec<f64>>,
     /// Subspace dimensions (absent = full space).
     pub dims: Option<Vec<usize>>,
-    /// Per-request density backend override
-    /// (`exact | coreset:EPS | hbe:EPS[,TAU]`; absent = the snapshot's
-    /// default). Overridden requests are answered inline — they never
-    /// enter the batch queue, so default-backend batching stays
-    /// bit-identical.
+    /// Per-request density backend override (`exact | coreset:EPS`;
+    /// absent = the snapshot's default). Overridden requests are
+    /// answered inline — they never enter the batch queue, so
+    /// default-backend batching stays bit-identical.
     pub backend: Option<String>,
 }
 
@@ -162,38 +163,13 @@ fn subspace_of(dims: Option<&[usize]>, dim: usize) -> Result<Subspace> {
     }
 }
 
-/// Evaluates one density query against a resolved backend: the
-/// columnar fast path when the backend factorizes, the generic
-/// `density_subspace` entry otherwise.
-fn density_via_backend(
-    backend: &dyn DensityBackend,
-    req: &DensityRequest,
-    subspace: Subspace,
-    generation: u64,
-) -> Result<DensityResponse> {
-    if let Some(cols) = backend.kernel_columns(&req.values, req.errors.as_deref())? {
-        return Ok(DensityResponse {
-            density: cols.density(subspace)?,
-            generation,
-            batch_size: 1,
-            columnar: cols.is_columnar(),
-        });
-    }
-    Ok(DensityResponse {
-        density: backend.density_subspace(&req.values, req.errors.as_deref(), subspace)?,
-        generation,
-        batch_size: 1,
-        columnar: false,
-    })
-}
-
 /// Answers a `/density` request. When a batch queue is wired in and no
 /// backend override is present, the query is funneled through it (and
 /// may be coalesced with concurrent requests); otherwise the snapshot's
-/// backend evaluates inline. Queue and inline paths run the same
-/// arithmetic under the default backend, so responses are bit-identical.
-/// Per-request overrides always evaluate inline against a cached
-/// backend built for that spec.
+/// mixture for the spec evaluates inline. Queue and inline paths run
+/// the same arithmetic under the default backend, so responses are
+/// bit-identical. Each answered query is recorded once under its
+/// backend's metrics.
 ///
 /// # Errors
 ///
@@ -215,24 +191,35 @@ pub fn handle_density(
             });
         }
     }
+    let started = Instant::now();
     let snap = snapshot_or_unready(store)?;
     let subspace = subspace_of(req.dims.as_deref(), req.values.len())?;
-    if let Some(text) = req.backend.as_deref() {
-        let spec = BackendSpec::parse(text)?;
-        let backend = snap.backend_for(&spec)?.ok_or(UdmError::EmptyDataset)?;
-        return density_via_backend(backend.as_ref(), req, subspace, snap.generation);
-    }
-    if let Some(queue) = queue {
-        let reply = queue.submit(req.values.clone(), req.errors.clone(), subspace)?;
-        return Ok(DensityResponse {
-            density: reply.density,
-            generation: snap.generation,
-            batch_size: reply.batch_size,
-            columnar: reply.columnar,
-        });
-    }
-    let backend = snap.backend()?.ok_or(UdmError::EmptyDataset)?;
-    density_via_backend(backend.as_ref(), req, subspace, snap.generation)
+    let spec = match req.backend.as_deref() {
+        Some(text) => BackendSpec::parse(text)?,
+        None => snap.backend_spec,
+    };
+    let answered = match queue {
+        Some(queue) if req.backend.is_none() => {
+            let reply = queue.submit(req.values.clone(), req.errors.clone(), subspace)?;
+            DensityResponse {
+                density: reply.density,
+                generation: snap.generation,
+                batch_size: reply.batch_size,
+                columnar: reply.columnar,
+            }
+        }
+        _ => snap.with_kde(&spec, |kde| {
+            let cols = kde.kernel_columns(&req.values, req.errors.as_deref())?;
+            Ok(DensityResponse {
+                density: cols.density(subspace)?,
+                generation: snap.generation,
+                batch_size: 1,
+                columnar: cols.is_columnar(),
+            })
+        })?,
+    };
+    record_query(&spec, started.elapsed().as_secs_f64());
+    Ok(answered)
 }
 
 /// Answers a `/classify` request via `classify_scored` (decision and
@@ -529,31 +516,31 @@ mod tests {
         assert_eq!(exact.density.to_bits(), default.density.to_bits());
         assert!(exact.columnar);
 
-        // Approximate overrides answer with finite positive estimates.
-        for spec in ["coreset:0.05", "hbe:0.2"] {
-            let got = handle_density(
+        // A coreset override answers with a finite positive estimate.
+        let coreset = handle_density(
+            &store,
+            None,
+            &DensityRequest {
+                backend: Some("coreset:0.05".into()),
+                ..base.clone()
+            },
+        )
+        .unwrap();
+        assert!(coreset.density.is_finite() && coreset.density > 0.0);
+
+        // A malformed or removed spec is a caller mistake, not a server
+        // fault.
+        for spec in ["coreset:nope", "hbe:0.2", "hbe:0.2,0.05"] {
+            let bad = handle_density(
                 &store,
                 None,
                 &DensityRequest {
                     backend: Some(spec.into()),
                     ..base.clone()
                 },
-            )
-            .unwrap();
-            assert!(got.density.is_finite() && got.density > 0.0, "{spec}");
+            );
+            assert_eq!(status_for(&bad.unwrap_err()), 400, "{spec}");
         }
-
-        // A malformed spec is a caller mistake, not a server fault.
-        let bad = handle_density(
-            &store,
-            None,
-            &DensityRequest {
-                backend: Some("coreset:nope".into()),
-                ..base
-            },
-        );
-        assert!(bad.is_err());
-        assert_eq!(status_for(&bad.unwrap_err()), 400);
     }
 
     #[test]
@@ -583,11 +570,21 @@ mod tests {
             &store,
             &ClassifyRequest {
                 backend: Some("coreset:0.05".into()),
-                ..base
+                ..base.clone()
             },
         )
         .unwrap();
         assert_eq!(coreset.label, default.label);
+
+        // A removed spec is rejected as a caller mistake.
+        let removed = handle_classify(
+            &store,
+            &ClassifyRequest {
+                backend: Some("hbe:0.2".into()),
+                ..base
+            },
+        );
+        assert_eq!(status_for(&removed.unwrap_err()), 400);
     }
 
     #[test]

@@ -339,7 +339,15 @@ mod tests {
         }
         let snap = store.load().unwrap();
         assert_eq!(snap.backend_spec, BackendSpec::Coreset { eps: 0.25 });
-        assert_eq!(snap.backend().unwrap().unwrap().name(), "coreset");
+        // The fixture must merge something, or a spec-blind snapshot
+        // serving the fitted KDE would pass.
+        let kde = snap.kde.as_ref().unwrap();
+        let want = udm_microcluster::CoresetKde::build(kde, 0.25).unwrap();
+        assert!(want.rows() < kde.num_pseudo_points(), "nothing merged");
+        let served = snap
+            .with_kde(&snap.backend_spec, |kde| Ok(kde.num_pseudo_points()))
+            .unwrap();
+        assert_eq!(served, want.rows());
     }
 
     #[test]

@@ -15,10 +15,10 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 use udm_classify::DensityClassifier;
-use udm_core::Result;
-use udm_kde::{BackendSpec, DensityBackend};
+use udm_core::{Result, UdmError};
+use udm_kde::BackendSpec;
 use udm_microcluster::shard::{AggregateCft, MicroClusterModel};
-use udm_microcluster::{build_backend, MicroClusterKde};
+use udm_microcluster::{CoresetKde, MicroClusterKde};
 
 /// Re-exported ingest counters type carried by each snapshot.
 pub use udm_microcluster::ingest::IngestCounters;
@@ -80,9 +80,10 @@ pub struct ModelSnapshot {
     /// The density backend this generation serves through by default
     /// (per-request overrides still resolve against the same snapshot).
     pub backend_spec: BackendSpec,
-    /// Lazily-built, per-spec backend cache: coreset/HBE constructions
-    /// run once per (snapshot, spec), then every query shares the `Arc`.
-    backends: Mutex<HashMap<String, Arc<dyn DensityBackend>>>,
+    /// Lazily-built coreset cache keyed by `eps` bits: each reduction of
+    /// `kde` runs once per (snapshot, spec), then every query shares the
+    /// `Arc`.
+    coresets: Mutex<HashMap<u64, Arc<MicroClusterKde>>>,
     checksum: u64,
 }
 
@@ -108,7 +109,7 @@ impl ModelSnapshot {
             ingested,
             published: Instant::now(),
             backend_spec: BackendSpec::Exact,
-            backends: Mutex::new(HashMap::new()),
+            coresets: Mutex::new(HashMap::new()),
             checksum: 0,
         };
         snap.checksum = snap.compute_checksum();
@@ -124,40 +125,44 @@ impl ModelSnapshot {
         self
     }
 
-    /// The default density backend over this snapshot's KDE, or `None`
-    /// while no KDE has been fitted (data endpoints answer 503 then).
+    /// Runs `answer` against the mixture `spec` selects: the fitted
+    /// [`kde`](Self::kde) for `Exact`, its coreset reduction for
+    /// `coreset:EPS` (built on first use, then shared through the
+    /// per-spec cache — snapshots are immutable, so a built reduction
+    /// never goes stale within its generation).
     ///
     /// # Errors
     ///
-    /// Backend construction failures (invalid spec knobs).
-    pub fn backend(&self) -> Result<Option<Arc<dyn DensityBackend>>> {
-        let spec = self.backend_spec;
-        self.backend_for(&spec)
-    }
-
-    /// The density backend for an explicit spec — the per-request
-    /// override path. Built on first use, then shared via the per-spec
-    /// cache (snapshots are immutable, so a built backend never goes
-    /// stale within its generation).
-    ///
-    /// # Errors
-    ///
-    /// Backend construction failures (invalid spec knobs).
-    pub fn backend_for(&self, spec: &BackendSpec) -> Result<Option<Arc<dyn DensityBackend>>> {
-        let Some(kde) = &self.kde else {
-            return Ok(None);
+    /// [`UdmError::EmptyDataset`] while no KDE has been fitted (data
+    /// endpoints answer 503 then); spec validation and coreset
+    /// construction failures; whatever `answer` returns.
+    pub fn with_kde<R>(
+        &self,
+        spec: &BackendSpec,
+        answer: impl FnOnce(&MicroClusterKde) -> Result<R>,
+    ) -> Result<R> {
+        let kde = self.kde.as_ref().ok_or(UdmError::EmptyDataset)?;
+        let eps = match *spec {
+            BackendSpec::Exact => return answer(kde),
+            BackendSpec::Coreset { eps } => eps,
         };
-        let key = spec.to_string();
-        if let Ok(cache) = self.backends.lock() {
-            if let Some(be) = cache.get(&key) {
-                return Ok(Some(Arc::clone(be)));
+        let key = eps.to_bits();
+        let cached = self
+            .coresets
+            .lock()
+            .ok()
+            .and_then(|cache| cache.get(&key).cloned());
+        let coreset = match cached {
+            Some(coreset) => coreset,
+            None => {
+                let built = Arc::new(CoresetKde::build(kde, eps)?.into_inner());
+                if let Ok(mut cache) = self.coresets.lock() {
+                    cache.insert(key, Arc::clone(&built));
+                }
+                built
             }
-        }
-        let built = build_backend(kde, spec)?;
-        if let Ok(mut cache) = self.backends.lock() {
-            cache.insert(key, Arc::clone(&built));
-        }
-        Ok(Some(built))
+        };
+        answer(&coreset)
     }
 
     fn compute_checksum(&self) -> u64 {
@@ -265,22 +270,42 @@ mod tests {
     fn snapshot_serves_backends_per_spec() {
         let snap = snapshot_of(1, 12, 0.0).with_backend_spec(BackendSpec::Coreset { eps: 0.2 });
         assert!(snap.verify(), "backend spec must not disturb the checksum");
-        let default = snap.backend().unwrap().unwrap();
-        assert_eq!(default.name(), "coreset");
-        // The cache hands back the same instance for the same spec…
-        let again = snap.backend().unwrap().unwrap();
-        assert!(Arc::ptr_eq(&default, &again));
-        // …and an override resolves independently.
-        let exact = snap.backend_for(&BackendSpec::Exact).unwrap().unwrap();
-        assert_eq!(exact.name(), "exact");
+        let spec = snap.backend_spec;
+        let addr = |kde: &MicroClusterKde| Ok(kde as *const MicroClusterKde as usize);
+        // The cache hands back the same reduction for the same spec…
+        let first = snap.with_kde(&spec, addr).unwrap();
+        assert_eq!(snap.with_kde(&spec, addr).unwrap(), first);
+        // …and `Exact` reads the fitted KDE itself, bit for bit.
+        let kde = snap.kde.as_ref().unwrap();
+        let exact = snap.with_kde(&BackendSpec::Exact, addr).unwrap();
+        assert_eq!(exact, addr(kde).unwrap());
+        assert_ne!(first, exact, "the coreset spec served the fitted KDE");
+        // The served reduction is the coreset itself: a fixture that
+        // merges nothing could not tell it from the fitted KDE.
+        let want = CoresetKde::build(kde, 0.2).unwrap();
+        assert!(want.rows() < kde.num_pseudo_points(), "nothing merged");
         let s = udm_core::Subspace::full(2).unwrap();
-        let d_exact = exact.density_subspace(&[1.0, 1.0], None, s).unwrap();
-        let d_kde = snap
-            .kde
-            .as_ref()
-            .unwrap()
-            .density_subspace_with_error(&[1.0, 1.0], None, s)
+        let x = [1.0, 1.0];
+        let (rows, d_coreset) = snap
+            .with_kde(&spec, |kde| {
+                Ok((
+                    kde.num_pseudo_points(),
+                    kde.kernel_columns(&x, None)?.density(s)?,
+                ))
+            })
             .unwrap();
+        assert_eq!(rows, want.rows());
+        let d_want = want
+            .inner()
+            .density_subspace_with_error(&x, None, s)
+            .unwrap();
+        assert_eq!(d_coreset.to_bits(), d_want.to_bits());
+        let d_exact = snap
+            .with_kde(&BackendSpec::Exact, |kde| {
+                kde.kernel_columns(&x, None)?.density(s)
+            })
+            .unwrap();
+        let d_kde = kde.density_subspace_with_error(&x, None, s).unwrap();
         assert_eq!(d_exact.to_bits(), d_kde.to_bits());
     }
 
@@ -288,7 +313,10 @@ mod tests {
     fn kdeless_snapshot_has_no_backend() {
         let model = model_of(5, 0.0);
         let snap = ModelSnapshot::new(1, model, None, None, 1.0, IngestCounters::default(), 5);
-        assert!(snap.backend().unwrap().is_none());
+        for spec in [BackendSpec::Exact, BackendSpec::Coreset { eps: 0.1 }] {
+            let got = snap.with_kde(&spec, |_| Ok(()));
+            assert!(matches!(got, Err(UdmError::EmptyDataset)), "{spec}");
+        }
     }
 
     #[test]
