@@ -1,14 +1,14 @@
 //! Columnar kernel hot path + profitable rayon seams, measured.
 //!
 //! Extends the `bench_subspace_cache` matrix to `n = 100_000` and pins
-//! down the three claims of the SIMD/parallelism work, all inside one
-//! binary (the bounded-error `fast_exp` is always compiled; only the
-//! hot-path routing is feature-gated):
+//! down the three claims of the SIMD/parallelism work:
 //!
-//! * **Columnar builds** — per-query kernel-column construction via the
-//!   scalar reference builder vs the SoA columnar builder vs the
-//!   columnar builder with `fast_exp`, plus a raw `exp` throughput
-//!   microbench (`exp_std` vs `exp_fast`).
+//! * **Column builds** — per-query kernel-column construction through
+//!   `MicroClusterKde::kernel_columns` (`mc_build`), plus a raw `exp`
+//!   throughput microbench (`exp_std` vs `exp_fast`; `fast_exp` is
+//!   always compiled). The build uses the hot-path exp, so the
+//!   fast-math build win is the ratio of `mc_build` medians from two
+//!   runs, without and with `--features udm-kde/fast-math`.
 //! * **Profitable rayon seams, same workload both sides** — a batch of
 //!   roll-up sweeps run sequentially vs through the crossover-guarded
 //!   parallel map (`rollup_batch_seq` vs `rollup_batch_rayon`). Unlike
@@ -21,7 +21,8 @@
 //!
 //! Medians and derived ratios go to `results/BENCH_simd_parallel.json`
 //! (the old `BENCH_subspace_cache.json` baseline is left untouched).
-//! The report records `host_cores` and `fast_math_enabled`: on a 1-core
+//! The report records `host_cores` and `fast_math_enabled` (whether the
+//! hot-path exp is `fast_exp` in this build): on a 1-core
 //! container every parallel ratio is expected to sit at ≈ 1.0 (the
 //! vendored rayon falls back to sequential execution), which the
 //! `criteria_notes` call out rather than paper over.
@@ -35,7 +36,7 @@ use udm_classify::{
 };
 use udm_core::{Subspace, UncertainDataset};
 use udm_data::{ErrorModel, GaussianClassSpec, MixtureGenerator};
-use udm_kde::{fast_exp, ErrorKde, KdeConfig};
+use udm_kde::{fast_exp, hot_exp, KdeConfig};
 use udm_microcluster::{MaintainerConfig, MicroClusterKde, MicroClusterMaintainer};
 
 const THREAD_AXIS: [usize; 4] = [1, 2, 4, 8];
@@ -81,6 +82,11 @@ fn rollup_subspaces(d: usize) -> Vec<Subspace> {
     subs
 }
 
+/// 4096 negative exp arguments spanning the kernel's live range.
+fn exp_args() -> Vec<f64> {
+    (0..4096).map(|i| -(i as f64) * 0.17 % 700.0).collect()
+}
+
 fn cached_sweep(kde: &MicroClusterKde, x: &[f64], subs: &[Subspace]) -> f64 {
     let cols = kde.kernel_columns(x, None).unwrap();
     let mut acc = 0.0;
@@ -101,9 +107,8 @@ fn bench_simd_parallel(c: &mut Criterion) {
     }
 
     // Raw exponential throughput: the kernel builds are exp-bound, so
-    // this is the upper bound of the fast-math build win. 4096 negative
-    // arguments spanning the kernel's live range.
-    let args: Vec<f64> = (0..4096).map(|i| -(i as f64) * 0.17 % 700.0).collect();
+    // this is the upper bound of the fast-math build win.
+    let args = exp_args();
     group.bench_function("exp_std/x4096", |b| {
         b.iter(|| {
             let mut acc = 0.0;
@@ -130,30 +135,11 @@ fn bench_simd_parallel(c: &mut Criterion) {
         let probe = data.point(0).clone();
         let x: Vec<f64> = probe.values().to_vec();
 
-        // --- Columnar vs scalar column builds -------------------------
-        // Exact estimator: n rows per build — the kernel-eval hot loop
-        // at full data scale.
-        let kde = ErrorKde::fit(&data, KdeConfig::default()).unwrap();
-        group.bench_function(format!("exact_build/{tag}"), |b| {
-            b.iter(|| kde.kernel_columns(black_box(&x)).unwrap().rows())
-        });
-
-        // Micro-cluster estimator: q = 80 rows per build; scalar
-        // reference vs columnar vs columnar+fast_exp A/B.
+        // --- Column build: q = 80 rows per build ----------------------
         let m = MicroClusterMaintainer::from_dataset(&data, MaintainerConfig::new(80)).unwrap();
         let mc = MicroClusterKde::fit(m.clusters(), KdeConfig::default()).unwrap();
-        group.bench_function(format!("mc_build_scalar/{tag}"), |b| {
-            b.iter(|| {
-                mc.kernel_columns_scalar(black_box(&x), None)
-                    .unwrap()
-                    .rows()
-            })
-        });
-        group.bench_function(format!("mc_build_columnar/{tag}"), |b| {
+        group.bench_function(format!("mc_build/{tag}"), |b| {
             b.iter(|| mc.kernel_columns(black_box(&x), None).unwrap().rows())
-        });
-        group.bench_function(format!("mc_build_fastexp/{tag}"), |b| {
-            b.iter(|| mc.kernel_columns_fastexp(black_box(&x)).unwrap().rows())
         });
 
         // --- Same-workload rollup batch: sequential vs guarded rayon --
@@ -223,18 +209,13 @@ struct Comparison {
     /// `rollup_batch_seq / rollup_batch_rayon`: ≥ 1.0 means the guarded
     /// rayon seam never loses to the sequential loop on this workload.
     rollup_seq_over_rayon: f64,
-    /// `mc_build_scalar / mc_build_columnar`: the SoA layout win with
-    /// the build's default exp.
-    build_scalar_over_columnar: f64,
-    /// `mc_build_columnar / mc_build_fastexp`: the bounded-error exp
-    /// win on identical loop structure (single-threaded).
-    build_columnar_over_fastexp: f64,
     evaluate_thread_scaling: Vec<ThreadScaling>,
 }
 
 #[derive(serde::Serialize)]
 struct Report {
     host_cores: usize,
+    /// Whether the hot-path exp (`hot_exp`) is `fast_exp` in this build.
     fast_math_enabled: bool,
     quick_mode: bool,
     /// `exp_std / exp_fast` single-thread throughput ratio.
@@ -262,10 +243,6 @@ fn dump_json(c: &Criterion) {
             config: tag.clone(),
             rollup_seq_over_rayon: seconds(&format!("rollup_batch_seq/{tag}"))
                 / seconds(&format!("rollup_batch_rayon/{tag}")),
-            build_scalar_over_columnar: seconds(&format!("mc_build_scalar/{tag}"))
-                / seconds(&format!("mc_build_columnar/{tag}")),
-            build_columnar_over_fastexp: seconds(&format!("mc_build_columnar/{tag}"))
-                / seconds(&format!("mc_build_fastexp/{tag}")),
             evaluate_thread_scaling: THREAD_AXIS
                 .iter()
                 .map(|&t| ThreadScaling {
@@ -282,9 +259,9 @@ fn dump_json(c: &Criterion) {
          the rayon side uses the crossover-guarded map (PAR_CROSSOVER_POINTS), so \
          seq_over_rayon >= ~1.0 is expected at every size."
             .to_string(),
-        "exp_fast_speedup is the single-thread exp throughput ratio; the >=2x \
-         fast-math kernel-eval criterion is read from it together with \
-         build_columnar_over_fastexp."
+        "exp_fast_speedup is the single-thread exp throughput ratio; the \
+         fast-math build win is the ratio of mc_build medians from runs \
+         without and with --features udm-kde/fast-math (fast_math_enabled)."
             .to_string(),
     ];
     if host_cores < 4 {
@@ -298,7 +275,9 @@ fn dump_json(c: &Criterion) {
 
     let report = Report {
         host_cores,
-        fast_math_enabled: cfg!(feature = "fast-math"),
+        fast_math_enabled: exp_args()
+            .iter()
+            .any(|&a| hot_exp(a).to_bits() != a.exp().to_bits()),
         quick_mode: quick(),
         exp_fast_speedup,
         entries: c
@@ -324,11 +303,10 @@ fn dump_json(c: &Criterion) {
     println!("exp_std/exp_fast: {exp_fast_speedup:.2}x");
     for cmp in &report.comparisons {
         println!(
-            "{}: rollup seq/rayon {:.2}x, build scalar/columnar {:.2}x, columnar/fastexp {:.2}x",
+            "{}: rollup seq/rayon {:.2}x, mc_build {:.2} us",
             cmp.config,
             cmp.rollup_seq_over_rayon,
-            cmp.build_scalar_over_columnar,
-            cmp.build_columnar_over_fastexp
+            seconds(&format!("mc_build/{}", cmp.config)) * 1e6
         );
     }
 }

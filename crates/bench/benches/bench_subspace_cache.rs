@@ -4,10 +4,11 @@
 //!
 //! Three evaluation strategies over the same subspace workload:
 //!
-//! * `*_naive`  — one `density_subspace*` call per subspace: every call
-//!   re-evaluates the per-dimension kernels (`O(rows·|S|)` `exp`s each);
-//! * `*_cached` — one `kernel_columns` build per query (`O(rows·d)`
-//!   `exp`s total), then pure multiply-adds per subspace;
+//! * `rollup_naive`  — one `density_subspace_with_error` call per
+//!   subspace: every call re-evaluates the per-dimension kernels
+//!   (`O(rows·|S|)` `exp`s each);
+//! * `rollup_cached` — one `kernel_columns` build per query
+//!   (`O(rows·d)` `exp`s total), then pure multiply-adds per subspace;
 //! * `rollup_cached_rayon` — the cached strategy fanned out over a batch
 //!   of test points with rayon.
 //!
@@ -16,8 +17,8 @@
 //! `≈ 10d`), which matches the shape of candidates the roll-up
 //! classifier actually enumerates (Fig. 3).
 //!
-//! Run with `cargo bench --bench bench_subspace_cache`; medians and the
-//! derived naive/cached speedups are written to
+//! Run with `cargo bench -p udm-bench --bench bench_subspace_cache`;
+//! medians and the derived naive/cached speedups are written to
 //! `results/BENCH_subspace_cache.json`.
 
 use criterion::{black_box, Criterion};
@@ -26,7 +27,7 @@ use std::time::Duration;
 use udm_classify::{evaluate, evaluate_parallel, ClassifierConfig, DensityClassifier};
 use udm_core::{Subspace, UncertainDataset};
 use udm_data::{ErrorModel, GaussianClassSpec, MixtureGenerator};
-use udm_kde::{ErrorKde, KdeConfig};
+use udm_kde::KdeConfig;
 use udm_microcluster::{MaintainerConfig, MicroClusterKde, MicroClusterMaintainer};
 
 /// Two well-separated spherical classes in `d` dimensions with
@@ -101,28 +102,8 @@ fn bench_subspace_cache(c: &mut Criterion) {
         let data = synthetic(n, d, 7);
         let subs = rollup_subspaces(d);
 
-        // Exact point-based estimator: the cache amortizes O(n·d) kernel
-        // evaluations over the whole subspace sweep.
-        let kde = ErrorKde::fit(&data, KdeConfig::default()).unwrap();
         let probe = data.point(0).clone();
         let x: Vec<f64> = probe.values().to_vec();
-        group.bench_function(format!("exact_naive/{tag}"), |b| {
-            b.iter(|| {
-                let mut acc = 0.0;
-                for &s in &subs {
-                    acc += kde.density_subspace(black_box(&x), s).unwrap();
-                }
-                acc
-            })
-        });
-        group.bench_function(format!("exact_cached/{tag}"), |b| {
-            b.iter(|| {
-                kde.density_subspaces(black_box(&x), &subs)
-                    .unwrap()
-                    .iter()
-                    .sum::<f64>()
-            })
-        });
 
         // Micro-cluster roll-up oracle: global + 2 class KDEs, query-error
         // convolution on (the classifier's configuration under
@@ -201,7 +182,6 @@ struct BenchEntry {
 #[derive(serde::Serialize)]
 struct SpeedupEntry {
     config: String,
-    exact_naive_over_cached: f64,
     rollup_naive_over_cached: f64,
     evaluate_seq_over_par: f64,
 }
@@ -225,8 +205,6 @@ fn dump_json(c: &Criterion) {
         let tag = format!("n{n}_d{d}");
         speedups.push(SpeedupEntry {
             config: tag.clone(),
-            exact_naive_over_cached: seconds(&format!("exact_naive/{tag}"))
-                / seconds(&format!("exact_cached/{tag}")),
             rollup_naive_over_cached: seconds(&format!("rollup_naive/{tag}"))
                 / seconds(&format!("rollup_cached/{tag}")),
             evaluate_seq_over_par: seconds(&format!("evaluate_seq/{tag}"))
@@ -257,11 +235,8 @@ fn dump_json(c: &Criterion) {
     println!("wrote {}", file.display());
     for s in &report.speedups {
         println!(
-            "{}: rollup naive/cached {:.2}x, exact naive/cached {:.2}x, eval seq/par {:.2}x",
-            s.config,
-            s.rollup_naive_over_cached,
-            s.exact_naive_over_cached,
-            s.evaluate_seq_over_par
+            "{}: rollup naive/cached {:.2}x, eval seq/par {:.2}x",
+            s.config, s.rollup_naive_over_cached, s.evaluate_seq_over_par
         );
     }
 }

@@ -962,6 +962,39 @@ mod tests {
     }
 
     #[test]
+    fn malformed_kde_json_is_an_error() {
+        // Edits of the first KDE's arrays that used to load and then
+        // panic (a missing bandwidth or coordinate) or serve answers
+        // (a zero bandwidth) must fail the load itself.
+        // Replaces `first,` of the first `"key":[first,…]` with `with`.
+        fn edit_first(json: &str, key: &str, with: &str) -> String {
+            let pattern = format!("\"{key}\":[");
+            let open = json.find(&pattern).unwrap() + pattern.len();
+            let comma = open + json[open..].find(',').unwrap();
+            format!("{}{with}{}", &json[..open], &json[comma + 1..])
+        }
+        let train = informative_mixture().generate(200, 97);
+        let json = DensityClassifier::fit(&train, ClassifierConfig::error_adjusted(10))
+            .unwrap()
+            .to_json()
+            .unwrap();
+        for (what, edited) in [
+            ("missing bandwidth", edit_first(&json, "bandwidths", "")),
+            (
+                "missing centroid coordinate",
+                edit_first(&json, "centroid", ""),
+            ),
+            ("zero bandwidth", edit_first(&json, "bandwidths", "0.0,")),
+        ] {
+            assert_ne!(edited, json, "{what}: edit did nothing");
+            assert!(
+                DensityClassifier::from_json(&edited).is_err(),
+                "{what} loaded"
+            );
+        }
+    }
+
+    #[test]
     fn exact_backend_default_is_bit_identical_to_pre_trait_path() {
         // The trait refactor must not move a single bit: the default
         // (Exact) backend and an explicit Exact override both reproduce

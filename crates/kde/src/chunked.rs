@@ -2,20 +2,20 @@
 //! (structure-of-arrays) kernel path.
 //!
 //! The columnar layout in [`crate::columns`] turns subspace density
-//! evaluation into three primitive loops over contiguous `f64` slices:
-//! seeding a per-row product accumulator, multiplying one dimension's
-//! kernel column into it, and a final ordered sum. The multiply loops
-//! are written with fixed-width `chunks_exact` bodies so the
-//! autovectorizer can lift them to SIMD (the 4/8-wide bodies have no
-//! bounds checks, no cross-iteration dependence, and a single
-//! load-multiply-store per lane); the final sum is deliberately a
-//! plain sequential loop because its evaluation *order* is part of the
-//! bit-for-bit contract with the scalar reference path.
+//! evaluation into primitive loops over contiguous `f64` slices:
+//! multiplying one dimension's kernel column into a per-row product
+//! accumulator, and a final ordered sum. The multiply loop is written
+//! with a fixed-width `chunks_exact` body so the autovectorizer can
+//! lift it to SIMD (the 8-wide body has no bounds checks, no
+//! cross-iteration dependence, and a single load-multiply-store per
+//! lane); the final sum is deliberately a plain sequential loop because
+//! its evaluation *order* is part of the bit-for-bit contract with the
+//! naive row-wise density loop.
 //!
 //! [`gaussian_kernel_row`] is the column *build* counterpart: one
-//! dimension's kernel evaluations for every row, from precomputed
-//! prefactors and variances, generic over the exponential so a single
-//! monomorphized loop serves both the exact (`f64::exp`) and
+//! dimension's kernel evaluations for every row, generic over the
+//! exponential so a single monomorphized loop serves both the hot-path
+//! (`f64::exp` or [`crate::fastexp::hot_exp`]) and the explicit
 //! bounded-error ([`crate::fastexp::fast_exp`]) builds.
 //!
 //! [`with_scratch`] supplies the per-thread product buffer so the hot
@@ -24,7 +24,7 @@
 
 use std::cell::RefCell;
 
-/// Width of the unrolled multiply bodies. Eight f64 lanes span one or
+/// Width of the unrolled multiply body. Eight f64 lanes span one or
 /// two SIMD registers on every x86-64 feature level (SSE2 → AVX-512).
 const UNROLL: usize = 8;
 
@@ -36,9 +36,9 @@ thread_local! {
 /// Runs `f` with a zero-copy per-thread scratch slice of length `len`.
 ///
 /// The slice contents are unspecified on entry; callers must
-/// initialize it (see [`seed_products`]). Falls back to a fresh
-/// allocation when the thread-local buffer is already borrowed
-/// (re-entrant use), so this never panics.
+/// initialize it. Falls back to a fresh allocation when the
+/// thread-local buffer is already borrowed (re-entrant use), so this
+/// never panics.
 pub fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
     SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut buf) => {
@@ -51,24 +51,11 @@ pub fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
     })
 }
 
-/// Seeds the per-row product accumulator: row weights when given
-/// (micro-cluster counts `n(C_i)`), else `1.0` — exactly the value the
-/// scalar reference loop starts each row's running product from.
-pub fn seed_products(acc: &mut [f64], weights: Option<&[f64]>) {
-    match weights {
-        Some(w) => {
-            let n = acc.len().min(w.len());
-            acc[..n].copy_from_slice(&w[..n]);
-        }
-        None => acc.fill(1.0),
-    }
-}
-
 /// `acc[i] *= col[i]` over the common prefix, 8-wide unrolled.
 ///
 /// Per-row multiplication order is preserved by construction: the
 /// caller invokes this once per subspace dimension in ascending order,
-/// so row `r` sees exactly the multiply sequence of the scalar loop.
+/// so row `r` sees exactly the multiply sequence of the naive loop.
 pub fn mul_assign(acc: &mut [f64], col: &[f64]) {
     let n = acc.len().min(col.len());
     let mut a = acc[..n].chunks_exact_mut(UNROLL);
@@ -90,9 +77,9 @@ pub fn mul_assign(acc: &mut [f64], col: &[f64]) {
 
 /// Sequential sum in ascending index order.
 ///
-/// NOT a pairwise/unrolled reduction on purpose: the scalar reference
-/// path accumulates `sum += prod` row by row, and reassociating the
-/// sum would break the bit-for-bit cache contract.
+/// NOT a pairwise/unrolled reduction on purpose: the naive density loop
+/// accumulates `sum += prod` row by row, and reassociating the sum
+/// would break the bit-for-bit cache contract.
 pub fn ordered_sum(xs: &[f64]) -> f64 {
     let mut sum = 0.0;
     for &x in xs {
@@ -101,49 +88,26 @@ pub fn ordered_sum(xs: &[f64]) -> f64 {
     sum
 }
 
-/// One dimension's kernel column: for every row `r`,
-/// `out[r] = pref[r] · exp(−(xj − cen[r])² / two_var[r])`.
+/// One dimension's kernel column: for every row `r`, with
+/// `(pref, two_var) = factors(r)`,
+/// `out[r] = pref · exp(−(xj − cen[r])² / two_var)`.
 ///
 /// These are exactly the operations (and operand order) of
-/// `GaussianErrorKernel::evaluate` with its prefactor and doubled
-/// variance precomputed, so the column is bit-identical to `rows`
-/// scalar kernel calls when `exp` is the same function. Generic over
-/// the exponential: monomorphized once with `f64::exp` (or
-/// [`crate::fastexp::hot_exp`]) for the exact build and once with
-/// [`crate::fastexp::fast_exp`] for the bounded-error build, keeping
-/// the call inlineable in both.
-pub fn gaussian_kernel_row<F: Fn(f64) -> f64 + Copy>(
-    out: &mut [f64],
-    xj: f64,
-    cen: &[f64],
-    pref: &[f64],
-    two_var: &[f64],
-    exp: F,
-) {
-    let n = out.len().min(cen.len()).min(pref.len()).min(two_var.len());
-    let mut o = out[..n].chunks_exact_mut(4);
-    let mut c = cen[..n].chunks_exact(4);
-    let mut p = pref[..n].chunks_exact(4);
-    let mut v = two_var[..n].chunks_exact(4);
-    for (((ov, cv), pv), vv) in o.by_ref().zip(c.by_ref()).zip(p.by_ref()).zip(v.by_ref()) {
-        let d0 = xj - cv[0];
-        let d1 = xj - cv[1];
-        let d2 = xj - cv[2];
-        let d3 = xj - cv[3];
-        ov[0] = pv[0] * exp(-d0 * d0 / vv[0]);
-        ov[1] = pv[1] * exp(-d1 * d1 / vv[1]);
-        ov[2] = pv[2] * exp(-d2 * d2 / vv[2]);
-        ov[3] = pv[3] * exp(-d3 * d3 / vv[3]);
-    }
-    let (o_rem, c_rem, p_rem, v_rem) = (
-        o.into_remainder(),
-        c.remainder(),
-        p.remainder(),
-        v.remainder(),
-    );
-    for i in 0..o_rem.len() {
-        let d = xj - c_rem[i];
-        o_rem[i] = p_rem[i] * exp(-d * d / v_rem[i]);
+/// `GaussianErrorKernel::evaluate` once its factors are known, so the
+/// column is bit-identical to `out.len()` kernel calls when `exp` is
+/// the same function. `factors` supplies each row's prefactor and
+/// doubled variance — read from a precomputed table, or computed in the
+/// loop when they depend on the query. Generic over the exponential and
+/// the factor source so each build monomorphizes to one inlined loop.
+pub fn gaussian_kernel_row<E, F>(out: &mut [f64], xj: f64, cen: &[f64], factors: F, exp: E)
+where
+    E: Fn(f64) -> f64 + Copy,
+    F: Fn(usize) -> (f64, f64),
+{
+    for (r, (o, &c)) in out.iter_mut().zip(cen).enumerate() {
+        let (pref, two_var) = factors(r);
+        let d = xj - c;
+        *o = pref * exp(-d * d / two_var);
     }
 }
 
@@ -165,15 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn seed_products_weights_and_ones() {
-        let mut acc = vec![0.0; 4];
-        seed_products(&mut acc, Some(&[2.0, 3.0, 4.0, 5.0]));
-        assert_eq!(acc, vec![2.0, 3.0, 4.0, 5.0]);
-        seed_products(&mut acc, None);
-        assert_eq!(acc, vec![1.0; 4]);
-    }
-
-    #[test]
     fn ordered_sum_is_sequential() {
         // Grouping-sensitive values: any reassociation would differ.
         let xs: Vec<f64> = (0..1000).map(|i| 1.0 / (i as f64 + 1.0)).collect();
@@ -192,7 +147,7 @@ mod tests {
             let two_var: Vec<f64> = (0..n).map(|i| 0.5 + i as f64 * 0.3).collect();
             let xj = 0.37;
             let mut out = vec![0.0; n];
-            gaussian_kernel_row(&mut out, xj, &cen, &pref, &two_var, f64::exp);
+            gaussian_kernel_row(&mut out, xj, &cen, |r| (pref[r], two_var[r]), f64::exp);
             for i in 0..n {
                 let d = xj - cen[i];
                 let want = pref[i] * (-d * d / two_var[i]).exp();

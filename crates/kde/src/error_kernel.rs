@@ -89,8 +89,9 @@ impl GaussianErrorKernel {
     /// `pref · exp(−diff²/two_var)`.
     ///
     /// `None` for the degenerate point-mass case (`h = ψ = 0`). The
-    /// columnar builders precompute these per (row, dimension) pair and
-    /// stay bit-for-bit identical to [`Self::evaluate`] because the
+    /// kernel-column builder precomputes these per (row, dimension) pair
+    /// (or computes them per element for error-convolved queries) and
+    /// stays bit-for-bit identical to [`Self::evaluate`] because the
     /// remaining per-element operations (`−diff·diff/two_var`, one
     /// multiply) are the same operations on the same operands.
     #[inline]

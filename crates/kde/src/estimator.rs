@@ -2,7 +2,6 @@
 //! paper), evaluable over the full space or any subspace.
 
 use crate::bandwidth::BandwidthRule;
-use crate::columns::KernelColumns;
 use crate::error_kernel::{ErrorKernelForm, GaussianErrorKernel};
 use serde::{Deserialize, Serialize};
 use udm_core::num::{ensure_finite_slice, f64_from_usize};
@@ -118,7 +117,9 @@ impl<'a> ErrorKde<'a> {
     ///
     /// # Errors
     ///
-    /// [`UdmError::DimensionMismatch`] if `x.len() != d`.
+    /// [`UdmError::DimensionMismatch`] if `x.len() != d`;
+    /// [`UdmError::SubspaceCapacityExceeded`] when `d` exceeds
+    /// [`Subspace::MAX_DIMS`].
     pub fn density(&self, x: &[f64]) -> Result<f64> {
         if x.len() != self.data.dim() {
             return Err(UdmError::DimensionMismatch {
@@ -126,8 +127,7 @@ impl<'a> ErrorKde<'a> {
                 actual: x.len(),
             });
         }
-        let full = Subspace::full(self.data.dim().min(Subspace::MAX_DIMS))?;
-        self.density_subspace(x, full)
+        self.density_subspace(x, Subspace::full(self.data.dim())?)
     }
 
     /// Density at `x` over the subspace `S` — the paper's `g(x, S, D)`.
@@ -171,7 +171,7 @@ impl<'a> ErrorKde<'a> {
                     .kernel
                     .evaluate(x[j] - p.value(j), self.bandwidths[j], psi);
                 evals += 1;
-                // udm-lint: allow(UDM002) exact underflow short-circuit (bit-for-bit cache contract)
+                // udm-lint: allow(UDM002) exact underflow short-circuit: the rest of the row stays 0
                 if prod == 0.0 {
                     break;
                 }
@@ -180,62 +180,6 @@ impl<'a> ErrorKde<'a> {
         }
         udm_observe::counter_add!("udm_kde_kernel_evals_total", evals);
         Ok(sum / f64_from_usize(self.data.len()))
-    }
-
-    /// Builds the per-query kernel-column cache for `x`: every
-    /// per-dimension kernel evaluation the naive [`Self::density_subspace`]
-    /// loop would make, computed once and reusable across arbitrarily many
-    /// subspace queries of the same point (see [`crate::columns`]).
-    ///
-    /// [`KernelColumns::density`] on the result is bit-for-bit identical
-    /// to [`Self::density_subspace`] for every valid subspace.
-    ///
-    /// # Errors
-    ///
-    /// [`UdmError::DimensionMismatch`] on wrong query arity,
-    /// [`UdmError::EmptyDataset`] for an empty dataset.
-    pub fn kernel_columns(&self, x: &[f64]) -> Result<KernelColumns> {
-        if x.len() != self.data.dim() {
-            return Err(UdmError::DimensionMismatch {
-                expected: self.data.dim(),
-                actual: x.len(),
-            });
-        }
-        if self.data.is_empty() {
-            return Err(UdmError::EmptyDataset);
-        }
-        ensure_finite_slice("query coordinate", x)?;
-        let dim = self.data.dim();
-        let rows = self.data.len();
-        // Filled dimension-major so the cache's internal SoA layout is
-        // produced directly (no transpose). Each kernel evaluation is
-        // independent, so the fill order does not affect the values.
-        let mut cols = vec![0.0; rows * dim];
-        for (j, &xj) in x.iter().enumerate() {
-            let h = self.bandwidths[j];
-            let col = &mut cols[j * rows..(j + 1) * rows];
-            for (r, p) in self.data.iter().enumerate() {
-                let psi = if self.error_adjusted { p.error(j) } else { 0.0 };
-                col[r] = self.kernel.evaluate(xj - p.value(j), h, psi);
-            }
-        }
-        udm_observe::counter_inc!("udm_kde_column_builds_total");
-        udm_observe::counter_add!(
-            "udm_kde_kernel_evals_total",
-            u64::try_from(cols.len()).unwrap_or(u64::MAX)
-        );
-        KernelColumns::from_dim_major(dim, cols, None, f64_from_usize(self.data.len()))
-    }
-
-    /// Batch evaluation of many subspace densities of one query through
-    /// the column cache — `O(n·d)` kernel calls total instead of
-    /// `O(n·Σ|S|)`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::kernel_columns`], plus per-subspace validation errors.
-    pub fn density_subspaces(&self, x: &[f64], subspaces: &[Subspace]) -> Result<Vec<f64>> {
-        self.kernel_columns(x)?.density_many(subspaces)
     }
 
     /// Convenience: density of a 1-dimensional subspace `{dim}`.
@@ -379,6 +323,23 @@ mod tests {
     }
 
     #[test]
+    fn full_space_density_beyond_subspace_capacity_is_an_error() {
+        // 65 dimensions do not fit a subspace bitmask: the full-space
+        // density must fail rather than answer the 64-dim marginal.
+        let dim = Subspace::MAX_DIMS + 1;
+        let d = UncertainDataset::from_points(vec![
+            UncertainPoint::exact(vec![0.0; dim]).unwrap(),
+            UncertainPoint::exact(vec![1.0; dim]).unwrap(),
+        ])
+        .unwrap();
+        let kde = ErrorKde::fit(&d, KdeConfig::default()).unwrap();
+        assert!(matches!(
+            kde.density(&vec![0.5; dim]),
+            Err(UdmError::SubspaceCapacityExceeded { .. })
+        ));
+    }
+
+    #[test]
     fn rejects_empty_dataset() {
         let empty = UncertainDataset::new(1);
         assert!(ErrorKde::fit(&empty, KdeConfig::default()).is_err());
@@ -414,78 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_columns_match_naive_bitwise() {
-        let points = vec![
-            UncertainPoint::new(vec![0.0, 10.0, -3.0], vec![0.1, 0.5, 0.0]).unwrap(),
-            UncertainPoint::new(vec![1.0, 12.0, -1.0], vec![0.0, 0.2, 0.4]).unwrap(),
-            UncertainPoint::new(vec![2.0, 11.0, -2.0], vec![0.3, 0.1, 0.2]).unwrap(),
-        ];
-        let d = UncertainDataset::from_points(points).unwrap();
-        let kde = ErrorKde::fit(&d, KdeConfig::default()).unwrap();
-        let x = [0.5, 11.5, -2.5];
-        let cols = kde.kernel_columns(&x).unwrap();
-        // All 7 non-empty subspaces of 3 dimensions.
-        for bits in 1u64..8 {
-            let s = Subspace::from_bits(bits);
-            let naive = kde.density_subspace(&x, s).unwrap();
-            let cached = cols.density(s).unwrap();
-            assert_eq!(naive.to_bits(), cached.to_bits(), "subspace {bits:#b}");
-        }
-    }
-
-    #[test]
-    fn cached_path_short_circuits_underflowed_rows() {
-        // With a tight fixed bandwidth, the kernel of the far point
-        // underflows to a hard 0.0 in dimension 0; the cached path must
-        // short-circuit that row exactly like the naive loop (satellite:
-        // `prod == 0.0 → break` equivalence) and stay finite.
-        let points = vec![
-            UncertainPoint::exact(vec![0.0, 0.0]).unwrap(),
-            UncertainPoint::exact(vec![1e6, 0.0]).unwrap(),
-        ];
-        let d = UncertainDataset::from_points(points).unwrap();
-        let config = KdeConfig {
-            bandwidth: BandwidthRule::Fixed(1.0),
-            ..KdeConfig::default()
-        };
-        let kde = ErrorKde::fit(&d, config).unwrap();
-        let x = [0.0, 0.0];
-        // Confirm the underflow actually happens for the far row.
-        let far = kde.kernel.evaluate(1e6, 1.0, 0.0);
-        assert_eq!(far, 0.0);
-        let cols = kde.kernel_columns(&x).unwrap();
-        for bits in 1u64..4 {
-            let s = Subspace::from_bits(bits);
-            let naive = kde.density_subspace(&x, s).unwrap();
-            let cached = cols.density(s).unwrap();
-            assert_eq!(naive.to_bits(), cached.to_bits(), "subspace {bits:#b}");
-            assert!(naive.is_finite());
-        }
-    }
-
-    #[test]
-    fn density_subspaces_batches_through_the_cache() {
-        let points = vec![
-            UncertainPoint::new(vec![0.0, 1.0], vec![0.1, 0.0]).unwrap(),
-            UncertainPoint::new(vec![2.0, 3.0], vec![0.0, 0.2]).unwrap(),
-        ];
-        let d = UncertainDataset::from_points(points).unwrap();
-        let kde = ErrorKde::fit(&d, KdeConfig::default()).unwrap();
-        let subs = [
-            Subspace::singleton(0).unwrap(),
-            Subspace::singleton(1).unwrap(),
-            Subspace::full(2).unwrap(),
-        ];
-        let batch = kde.density_subspaces(&[1.0, 2.0], &subs).unwrap();
-        for (i, &s) in subs.iter().enumerate() {
-            let naive = kde.density_subspace(&[1.0, 2.0], s).unwrap();
-            assert_eq!(batch[i].to_bits(), naive.to_bits());
-        }
-        assert!(kde.density_subspaces(&[1.0], &subs).is_err());
-        assert!(kde.kernel_columns(&[1.0]).is_err());
-    }
-
-    #[test]
     fn mass_concentrates_near_data() {
         let d = exact_1d(&[0.0, 0.1, -0.1, 0.05]);
         let kde = ErrorKde::fit(&d, KdeConfig::default()).unwrap();
@@ -510,32 +399,6 @@ mod proptests {
         })
     }
 
-    /// Multi-dimensional dataset + query + non-empty subspace, for
-    /// exercising the kernel-column cache across dimensionalities.
-    fn dataset_query_subspace(
-    ) -> impl Strategy<Value = (UncertainDataset, Vec<f64>, Subspace, bool)> {
-        (1usize..6).prop_flat_map(|dim| {
-            let rows = proptest::collection::vec(
-                proptest::collection::vec((-50.0f64..50.0, 0.0f64..5.0), dim..=dim),
-                2..20,
-            );
-            let query = proptest::collection::vec(-60.0f64..60.0, dim..=dim);
-            let mask = 1u64..(1u64 << dim);
-            (rows, query, mask, proptest::bool::ANY).prop_map(|(rows, query, mask, adjusted)| {
-                let data = UncertainDataset::from_points(
-                    rows.into_iter()
-                        .map(|cells| {
-                            let (vs, es): (Vec<f64>, Vec<f64>) = cells.into_iter().unzip();
-                            UncertainPoint::new(vs, es).unwrap()
-                        })
-                        .collect(),
-                )
-                .unwrap();
-                (data, query, Subspace::from_bits(mask), adjusted)
-            })
-        })
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -543,25 +406,6 @@ mod proptests {
         fn density_is_non_negative(d in arbitrary_dataset(), x in -100.0f64..100.0) {
             let kde = ErrorKde::fit(&d, KdeConfig::default()).unwrap();
             prop_assert!(kde.density(&[x]).unwrap() >= 0.0);
-        }
-
-        #[test]
-        fn cached_columns_agree_with_naive(
-            (d, x, s, adjusted) in dataset_query_subspace(),
-        ) {
-            let config = if adjusted {
-                KdeConfig::error_adjusted()
-            } else {
-                KdeConfig::unadjusted()
-            };
-            let kde = ErrorKde::fit(&d, config).unwrap();
-            let naive = kde.density_subspace(&x, s).unwrap();
-            let cached = kde.kernel_columns(&x).unwrap().density(s).unwrap();
-            // The acceptance bar is 1e-12 *relative* error; the cached
-            // path actually reproduces the naive loop bit-for-bit.
-            let rel = (cached - naive).abs() / naive.abs().max(f64::MIN_POSITIVE);
-            prop_assert!(rel <= 1e-12, "naive {naive} vs cached {cached} (rel {rel})");
-            prop_assert_eq!(naive.to_bits(), cached.to_bits());
         }
 
         #[test]

@@ -27,13 +27,16 @@
 //! * [`error_kernel`] — the paper's error-based Gaussian kernel (Eq. 3) in
 //!   both paper-faithful and renormalized forms,
 //! * [`bandwidth`] — Silverman / Scott / fixed bandwidth selection,
-//! * [`estimator`] — the point-based density estimator over datasets and
-//!   subspaces (Eqs. 1, 4),
+//! * [`estimator`] — the naive point-based density estimator over
+//!   datasets and subspaces (Eqs. 1, 4),
 //! * [`columns`] — the factorized per-query kernel-column cache that the
 //!   subspace roll-up reuses across every subspace it enumerates, stored
-//!   dimension-major (SoA) for SIMD-friendly subspace products,
-//! * [`chunked`] — the unrolled contiguous inner loops behind the
-//!   columnar path (column multiply, ordered reduction, column build),
+//!   dimension-major (SoA) for SIMD-friendly subspace products; one
+//!   constructor, one evaluation loop, and non-finite caches rejected
+//!   (its one builder is `MicroClusterKde::kernel_columns` in
+//!   `udm-microcluster`),
+//! * [`chunked`] — the contiguous inner loops behind the columnar path
+//!   (column multiply, ordered reduction, column build),
 //! * [`fastexp`] — a bounded-error fast `exp` selected by the
 //!   `fast-math` feature (default off; the default build is bit-exact),
 //! * [`grid`] — dense grid evaluation for plotting and numeric checks,

@@ -14,14 +14,18 @@
 //! ## Columnar hot path
 //!
 //! The per-query kernel-column cache ([`MicroClusterKde::kernel_columns`])
-//! is built from a lazily derived structure-of-arrays layout: centroids,
-//! squared spreads and the diff-independent kernel factors stored
-//! dimension-major, so each dimension's column is one contiguous unrolled
-//! loop (`udm_kde::chunked`) instead of a strided gather over
-//! pseudo-point structs. The scalar builder
-//! ([`MicroClusterKde::kernel_columns_scalar`]) remains the bit-for-bit
-//! reference; the naive [`MicroClusterKde::density_subspace_with_error`]
-//! loop is the end-to-end oracle.
+//! has one builder: a loop per dimension over a lazily derived
+//! structure-of-arrays layout (centroids, squared spreads and the
+//! diff-independent kernel factors, stored dimension-major), generic
+//! over the exponential. The naive
+//! [`MicroClusterKde::density_subspace_with_error`] loop is the oracle
+//! every cached density is tested against bit for bit.
+//!
+//! Every constructor — [`MicroClusterKde::fit`],
+//! [`MicroClusterKde::fit_with_bandwidths`],
+//! [`MicroClusterKde::from_pseudo_points`] and deserialization — checks
+//! the mixture's parts, so a malformed model is an error, never a panic
+//! or a point-mass kernel.
 
 use crate::feature::MicroCluster;
 use crate::pseudo::PseudoPoint;
@@ -39,27 +43,21 @@ use udm_kde::{chunked, ErrorKernelForm, GaussianErrorKernel, KdeConfig, KernelCo
 /// of the error-based kernel at `ψ = Δ_j(C_i)`
 /// ([`GaussianErrorKernel::factors`]); `delta2` keeps `Δ²` for queries
 /// that convolve their own error (`ψ` then varies per query and the
-/// factors cannot be precomputed).
-#[derive(Debug, Clone, Default)]
+/// factors are computed in the build loop).
+#[derive(Debug, Clone)]
 struct ColumnLayout {
     centroids: Vec<f64>,
     delta2: Vec<f64>,
     prefs: Vec<f64>,
     two_vars: Vec<f64>,
     weights: Vec<f64>,
-    /// Any (row, dim) pair hit the degenerate point-mass kernel
-    /// (`h = ψ = 0`): the columnar factored build cannot represent it,
-    /// so column builds route through the scalar reference path.
-    degenerate: bool,
 }
 
-/// Lazily built [`ColumnLayout`], excluded from serialization.
+/// Lazily built [`ColumnLayout`], serialized as `null`.
 ///
 /// The layout is derived state: it is fully reconstructible from the
-/// pseudo-points and bandwidths, so it serializes as `null` and
-/// deserializes to the empty (unbuilt) cache — persisted models from
-/// before the columnar path load unchanged, and round-tripping a model
-/// never embeds redundant data in the JSON.
+/// pseudo-points and bandwidths, so round-tripping a model never embeds
+/// redundant data in the JSON, and deserialization starts unbuilt.
 #[derive(Debug, Clone, Default)]
 struct LayoutCache(OnceLock<ColumnLayout>);
 
@@ -69,10 +67,13 @@ impl serde::Serialize for LayoutCache {
     }
 }
 
-impl serde::Deserialize for LayoutCache {
-    fn from_value(_: &serde::Value) -> std::result::Result<Self, serde::DeError> {
-        Ok(LayoutCache::default())
-    }
+/// The kernel factors `(pref, two_var)` at `(h, ψ)`. The point-mass
+/// case (`None`) cannot occur for a checked mixture, whose bandwidths
+/// satisfy `h·h > 0`; it maps to NaN so [`KernelColumns::new`] would
+/// reject the column rather than evaluate it.
+#[inline]
+fn factors_or_nan(kernel: GaussianErrorKernel, h: f64, psi: f64) -> (f64, f64) {
+    kernel.factors(h, psi).unwrap_or((f64::NAN, f64::NAN))
 }
 
 /// Density estimator over micro-cluster summaries.
@@ -80,7 +81,7 @@ impl serde::Deserialize for LayoutCache {
 /// Built once from a slice of clusters (one pre-processing step, as in
 /// §3); queries can then be evaluated over any subspace without touching
 /// the original data.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct MicroClusterKde {
     pseudos: Vec<PseudoPoint>,
     bandwidths: Vec<f64>,
@@ -88,6 +89,26 @@ pub struct MicroClusterKde {
     total_n: u64,
     dim: usize,
     layout: LayoutCache,
+}
+
+/// Deserializes through the same checks as every constructor, so a
+/// malformed model (a missing bandwidth or coordinate, a zero
+/// bandwidth, a non-finite value) fails to load instead of panicking or
+/// serving answers later.
+impl serde::Deserialize for MicroClusterKde {
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
+        let map = v
+            .as_map()
+            .ok_or_else(|| serde::DeError::expected("object", v))?;
+        MicroClusterKde::checked(
+            serde::de::field(map, "pseudos")?,
+            serde::de::field(map, "bandwidths")?,
+            serde::de::field(map, "kernel")?,
+            serde::de::field(map, "total_n")?,
+            serde::de::field(map, "dim")?,
+        )
+        .map_err(|e| serde::DeError(format!("invalid MicroClusterKde: {e}")))
+    }
 }
 
 impl MicroClusterKde {
@@ -106,21 +127,16 @@ impl MicroClusterKde {
     /// # Errors
     ///
     /// [`UdmError::EmptyDataset`] when `clusters` is empty or all empty;
-    /// [`UdmError::DimensionMismatch`] on ragged dimensionality.
+    /// [`UdmError::DimensionMismatch`] on ragged dimensionality;
+    /// [`UdmError::InvalidValue`] when a fitted part is out of its
+    /// domain (see [`Self::from_pseudo_points`]).
     pub fn fit(clusters: &[MicroCluster], config: KdeConfig) -> Result<Self> {
         let non_empty: Vec<&MicroCluster> = clusters.iter().filter(|c| !c.is_empty()).collect();
         let first = non_empty.first().ok_or(UdmError::EmptyDataset)?;
         let dim = first.dim();
-        for c in &non_empty {
-            if c.dim() != dim {
-                return Err(UdmError::DimensionMismatch {
-                    expected: dim,
-                    actual: c.dim(),
-                });
-            }
-        }
 
-        // Aggregate global statistics to recover per-dimension sigma and N.
+        // Aggregate global statistics to recover per-dimension sigma and N
+        // (merging also rejects ragged dimensionality).
         let mut agg = MicroCluster::new(dim);
         for c in &non_empty {
             agg.merge(c)?;
@@ -136,19 +152,23 @@ impl MicroClusterKde {
             .map(|c| PseudoPoint::from_cluster(c, config.error_adjusted))
             .collect::<Result<Vec<_>>>()?;
 
-        Ok(MicroClusterKde {
+        Self::checked(
             pseudos,
             bandwidths,
-            kernel: GaussianErrorKernel::new(config.form),
+            GaussianErrorKernel::new(config.form),
             total_n,
             dim,
-            layout: LayoutCache::default(),
-        })
+        )
     }
 
     /// Fits with explicitly supplied per-dimension bandwidths (used by the
     /// classifier so class-conditional densities and the global density
     /// share one bandwidth vector, keeping Eq. 11's ratio consistent).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::fit`], plus the bandwidth checks of
+    /// [`Self::from_pseudo_points`].
     pub fn fit_with_bandwidths(
         clusters: &[MicroCluster],
         bandwidths: Vec<f64>,
@@ -158,40 +178,19 @@ impl MicroClusterKde {
         let non_empty: Vec<&MicroCluster> = clusters.iter().filter(|c| !c.is_empty()).collect();
         let first = non_empty.first().ok_or(UdmError::EmptyDataset)?;
         let dim = first.dim();
-        if bandwidths.len() != dim {
-            return Err(UdmError::DimensionMismatch {
-                expected: dim,
-                actual: bandwidths.len(),
-            });
-        }
-        for &h in &bandwidths {
-            if !(h.is_finite() && h > 0.0) {
-                return Err(UdmError::InvalidValue {
-                    what: "bandwidth",
-                    value: h,
-                });
-            }
-        }
         let mut total_n = 0;
         let mut pseudos = Vec::with_capacity(non_empty.len());
         for c in &non_empty {
-            if c.dim() != dim {
-                return Err(UdmError::DimensionMismatch {
-                    expected: dim,
-                    actual: c.dim(),
-                });
-            }
             total_n += c.n();
             pseudos.push(PseudoPoint::from_cluster(c, error_adjusted)?);
         }
-        Ok(MicroClusterKde {
+        Self::checked(
             pseudos,
             bandwidths,
-            kernel: GaussianErrorKernel::new(form),
+            GaussianErrorKernel::new(form),
             total_n,
             dim,
-            layout: LayoutCache::default(),
-        })
+        )
     }
 
     /// Builds an estimator directly from pseudo-points — the entry the
@@ -207,18 +206,44 @@ impl MicroClusterKde {
     /// [`UdmError::EmptyDataset`] on an empty pseudo-point set or
     /// `total_n == 0`; [`UdmError::DimensionMismatch`] on ragged
     /// pseudo-points or a wrong-arity bandwidth vector;
-    /// [`UdmError::InvalidValue`] on non-positive bandwidths.
+    /// [`UdmError::InvalidValue`] on a bandwidth that is not finite and
+    /// positive with `h·h > 0`, or on a non-finite centroid or a
+    /// negative or non-finite spread `Δ`.
     pub fn from_pseudo_points(
         pseudos: Vec<PseudoPoint>,
         bandwidths: Vec<f64>,
         form: ErrorKernelForm,
         total_n: u64,
     ) -> Result<Self> {
-        let first = pseudos.first().ok_or(UdmError::EmptyDataset)?;
-        if total_n == 0 {
+        let dim = pseudos.first().ok_or(UdmError::EmptyDataset)?.dim();
+        Self::checked(
+            pseudos,
+            bandwidths,
+            GaussianErrorKernel::new(form),
+            total_n,
+            dim,
+        )
+    }
+
+    /// The one check of a mixture's parts, shared by every constructor
+    /// and by deserialization. A mixture that passes has a factored
+    /// kernel in every (pseudo-point, dimension) cell: `h·h > 0` rules
+    /// out the point-mass kernel `h = Δ = 0`.
+    fn checked(
+        pseudos: Vec<PseudoPoint>,
+        bandwidths: Vec<f64>,
+        kernel: GaussianErrorKernel,
+        total_n: u64,
+        dim: usize,
+    ) -> Result<Self> {
+        if pseudos.is_empty() || total_n == 0 {
             return Err(UdmError::EmptyDataset);
         }
-        let dim = first.dim();
+        if dim == 0 {
+            return Err(UdmError::InvalidConfig(
+                "a mixture needs at least one dimension".into(),
+            ));
+        }
         if bandwidths.len() != dim {
             return Err(UdmError::DimensionMismatch {
                 expected: dim,
@@ -226,7 +251,7 @@ impl MicroClusterKde {
             });
         }
         for &h in &bandwidths {
-            if !(h.is_finite() && h > 0.0) {
+            if !(h.is_finite() && h > 0.0 && h * h > 0.0) {
                 return Err(UdmError::InvalidValue {
                     what: "bandwidth",
                     value: h,
@@ -234,17 +259,28 @@ impl MicroClusterKde {
             }
         }
         for p in &pseudos {
-            if p.dim() != dim || p.delta.len() != dim {
-                return Err(UdmError::DimensionMismatch {
-                    expected: dim,
-                    actual: p.dim(),
-                });
+            for arity in [p.centroid.len(), p.delta.len()] {
+                if arity != dim {
+                    return Err(UdmError::DimensionMismatch {
+                        expected: dim,
+                        actual: arity,
+                    });
+                }
+            }
+            ensure_finite_slice("pseudo-point centroid", &p.centroid)?;
+            for &delta in &p.delta {
+                if !(delta.is_finite() && delta >= 0.0) {
+                    return Err(UdmError::InvalidValue {
+                        what: "pseudo-point spread",
+                        value: delta,
+                    });
+                }
             }
         }
         Ok(MicroClusterKde {
             pseudos,
             bandwidths,
-            kernel: GaussianErrorKernel::new(form),
+            kernel,
             total_n,
             dim,
             layout: LayoutCache::default(),
@@ -307,34 +343,24 @@ impl MicroClusterKde {
     /// example's own error boundary determines which training structure it
     /// could plausibly coincide with. With `query_errors = None` (or all
     /// zeros) it reduces to the plain estimate.
+    ///
+    /// This naive loop is the oracle [`Self::kernel_columns`] is tested
+    /// against bit for bit.
     pub fn density_subspace_with_error(
         &self,
         x: &[f64],
         query_errors: Option<&[f64]>,
         subspace: Subspace,
     ) -> Result<f64> {
-        if x.len() != self.dim {
-            return Err(UdmError::DimensionMismatch {
-                expected: self.dim,
-                actual: x.len(),
-            });
-        }
-        if let Some(errs) = query_errors {
-            if errs.len() != self.dim {
-                return Err(UdmError::DimensionMismatch {
-                    expected: self.dim,
-                    actual: errs.len(),
-                });
-            }
-        }
+        self.check_query_arity(x, query_errors)?;
+        ensure_finite_slice("query coordinate", x)?;
+        ensure_finite_slice_opt("query error", query_errors)?;
         subspace.validate_for(self.dim)?;
         if subspace.is_empty() {
             return Err(UdmError::InvalidConfig(
                 "cannot evaluate a density over the empty subspace".into(),
             ));
         }
-        ensure_finite_slice("query coordinate", x)?;
-        ensure_finite_slice_opt("query error", query_errors)?;
         let mut sum = 0.0;
         // Tallied locally, published once per query: no atomics in the loop.
         let mut evals: u64 = 0;
@@ -374,54 +400,18 @@ impl MicroClusterKde {
     ///
     /// # Errors
     ///
-    /// [`UdmError::DimensionMismatch`] on wrong query or error arity.
+    /// [`UdmError::DimensionMismatch`] on wrong query or error arity;
+    /// [`UdmError::InvalidValue`] on a non-finite query value or error,
+    /// or when a kernel value overflows to a non-finite number (a
+    /// query value and error near `1e200`).
     pub fn kernel_columns(&self, x: &[f64], query_errors: Option<&[f64]>) -> Result<KernelColumns> {
-        self.validate_query(x, query_errors)?;
-        let layout = self.layout();
-        if layout.degenerate {
-            // Point-mass kernels (∞/0) have no factored form; the scalar
-            // reference builder handles them, and KernelColumns routes
-            // the resulting non-finite cache through its row-wise path.
-            return self.build_scalar(x, query_errors);
-        }
-        match query_errors {
-            None => self.build_columnar(x, layout, udm_kde::hot_exp),
-            Some(errs) => self.build_columnar_with_errors(x, errs, layout),
-        }
+        self.check_query_arity(x, query_errors)?;
+        ensure_finite_slice("query coordinate", x)?;
+        ensure_finite_slice_opt("query error", query_errors)?;
+        self.build(x, query_errors, udm_kde::hot_exp)
     }
 
-    /// The scalar reference column builder: row-major kernel evaluations
-    /// in the exact order of the naive density loop. This is the
-    /// correctness oracle the columnar build is tested against, and the
-    /// fallback for degenerate (point-mass) kernels.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::kernel_columns`].
-    pub fn kernel_columns_scalar(
-        &self,
-        x: &[f64],
-        query_errors: Option<&[f64]>,
-    ) -> Result<KernelColumns> {
-        self.validate_query(x, query_errors)?;
-        self.build_scalar(x, query_errors)
-    }
-
-    #[doc(hidden)]
-    /// Columnar build with the bounded-error exponential *explicitly*,
-    /// regardless of the `fast-math` feature: the benchmark suite A/Bs
-    /// the exact and fast builds inside one binary with this.
-    pub fn kernel_columns_fastexp(&self, x: &[f64]) -> Result<KernelColumns> {
-        self.validate_query(x, None)?;
-        let layout = self.layout();
-        if layout.degenerate {
-            return self.build_scalar(x, None);
-        }
-        // udm-lint: allow(UDM008) bench-only A/B entry point, documented above; default-build callers use kernel_columns
-        self.build_columnar(x, layout, udm_kde::fast_exp)
-    }
-
-    fn validate_query(&self, x: &[f64], query_errors: Option<&[f64]>) -> Result<()> {
+    fn check_query_arity(&self, x: &[f64], query_errors: Option<&[f64]>) -> Result<()> {
         if x.len() != self.dim {
             return Err(UdmError::DimensionMismatch {
                 expected: self.dim,
@@ -436,8 +426,6 @@ impl MicroClusterKde {
                 });
             }
         }
-        ensure_finite_slice("query coordinate", x)?;
-        ensure_finite_slice_opt("query error", query_errors)?;
         Ok(())
     }
 
@@ -453,7 +441,6 @@ impl MicroClusterKde {
                 prefs: vec![0.0; rows * dim],
                 two_vars: vec![0.0; rows * dim],
                 weights: Vec::with_capacity(rows),
-                degenerate: false,
             };
             for (r, p) in self.pseudos.iter().enumerate() {
                 layout.weights.push(f64_from_count(p.weight));
@@ -461,102 +448,67 @@ impl MicroClusterKde {
                     let at = j * rows + r;
                     layout.centroids[at] = p.centroid[j];
                     layout.delta2[at] = p.delta[j] * p.delta[j];
-                    match self.kernel.factors(self.bandwidths[j], p.delta[j]) {
-                        Some((pref, two_var)) => {
-                            layout.prefs[at] = pref;
-                            layout.two_vars[at] = two_var;
-                        }
-                        None => layout.degenerate = true,
-                    }
+                    (layout.prefs[at], layout.two_vars[at]) =
+                        factors_or_nan(self.kernel, self.bandwidths[j], p.delta[j]);
                 }
             }
             layout
         })
     }
 
-    /// Columnar build for plain queries: one [`chunked::gaussian_kernel_row`]
-    /// per dimension over the precomputed factors — the same operations
-    /// as [`GaussianErrorKernel::evaluate`] per element, so the cache is
-    /// bit-identical to the scalar builder's under the same `exp`.
-    fn build_columnar<F: Fn(f64) -> f64 + Copy>(
+    /// The one kernel-column builder: per dimension `j`, one
+    /// [`chunked::gaussian_kernel_row`] pass computing
+    /// `pref · exp(−(x_j − c)² / two_var)` per pseudo-point. Plain
+    /// queries read the precomputed factors at `ψ = Δ`; error-convolved
+    /// queries compute them in the loop at `ψ = √(Δ² + ψ_j(x)²)`. Either
+    /// way each element is the same operation sequence on the same
+    /// operands as [`GaussianErrorKernel::evaluate`] in the naive loop,
+    /// so the cache is bit-identical to it when `exp` is `hot_exp`.
+    fn build<F: Fn(f64) -> f64 + Copy>(
         &self,
         x: &[f64],
-        layout: &ColumnLayout,
+        query_errors: Option<&[f64]>,
         exp: F,
     ) -> Result<KernelColumns> {
+        let layout = self.layout();
         let rows = self.pseudos.len();
         let mut cols = vec![0.0; rows * self.dim];
         for (j, &xj) in x.iter().enumerate() {
             let span = j * rows..(j + 1) * rows;
-            chunked::gaussian_kernel_row(
-                &mut cols[span.clone()],
-                xj,
-                &layout.centroids[span.clone()],
-                &layout.prefs[span.clone()],
-                &layout.two_vars[span],
-                exp,
-            );
-        }
-        self.publish_build_counters(cols.len());
-        KernelColumns::from_dim_major(
-            self.dim,
-            cols,
-            Some(layout.weights.clone()),
-            f64_from_count(self.total_n),
-        )
-    }
-
-    /// Columnar build for error-convolved queries: `ψ` depends on the
-    /// query's own per-dimension error, so the kernel factors cannot be
-    /// precomputed; still dimension-major and contiguous, with `Δ²` and
-    /// `ψ_q²` reused from the layout instead of recomputed per element.
-    fn build_columnar_with_errors(
-        &self,
-        x: &[f64],
-        errs: &[f64],
-        layout: &ColumnLayout,
-    ) -> Result<KernelColumns> {
-        let rows = self.pseudos.len();
-        let mut cols = vec![0.0; rows * self.dim];
-        for j in 0..self.dim {
-            let e2 = errs[j] * errs[j];
-            let base = j * rows;
-            let h = self.bandwidths[j];
-            let xj = x[j];
-            for r in 0..rows {
-                let psi = clamped_sqrt(layout.delta2[base + r] + e2);
-                cols[base + r] = self
-                    .kernel
-                    .evaluate(xj - layout.centroids[base + r], h, psi);
+            let out = &mut cols[span.clone()];
+            let centroids = &layout.centroids[span.clone()];
+            match query_errors {
+                None => {
+                    let prefs = &layout.prefs[span.clone()];
+                    let two_vars = &layout.two_vars[span];
+                    chunked::gaussian_kernel_row(
+                        out,
+                        xj,
+                        centroids,
+                        |r| (prefs[r], two_vars[r]),
+                        exp,
+                    );
+                }
+                Some(errs) => {
+                    let delta2 = &layout.delta2[span];
+                    let (h, e2) = (self.bandwidths[j], errs[j] * errs[j]);
+                    chunked::gaussian_kernel_row(
+                        out,
+                        xj,
+                        centroids,
+                        |r| factors_or_nan(self.kernel, h, clamped_sqrt(delta2[r] + e2)),
+                        exp,
+                    );
+                }
             }
         }
         self.publish_build_counters(cols.len());
-        KernelColumns::from_dim_major(
+        KernelColumns::new(
             self.dim,
             cols,
-            Some(layout.weights.clone()),
+            layout.weights.clone(),
             f64_from_count(self.total_n),
         )
-    }
-
-    fn build_scalar(&self, x: &[f64], query_errors: Option<&[f64]>) -> Result<KernelColumns> {
-        let mut cols = Vec::with_capacity(self.pseudos.len() * self.dim);
-        let mut weights = Vec::with_capacity(self.pseudos.len());
-        for p in &self.pseudos {
-            weights.push(f64_from_count(p.weight));
-            for j in 0..self.dim {
-                let psi = match query_errors {
-                    Some(errs) => clamped_sqrt(p.delta[j] * p.delta[j] + errs[j] * errs[j]),
-                    None => p.delta[j],
-                };
-                cols.push(
-                    self.kernel
-                        .evaluate(x[j] - p.centroid[j], self.bandwidths[j], psi),
-                );
-            }
-        }
-        self.publish_build_counters(cols.len());
-        KernelColumns::new(self.dim, cols, Some(weights), f64_from_count(self.total_n))
     }
 
     fn publish_build_counters(&self, evals: usize) {
@@ -763,6 +715,181 @@ mod tests {
         }
         assert!(mc.kernel_columns(&[0.0], None).is_err());
         assert!(mc.kernel_columns(&x, Some(&[0.0])).is_err());
+    }
+
+    #[test]
+    fn cached_path_short_circuits_underflowed_rows() {
+        // With h = 1 the kernel of the cluster at 1e6 underflows to a
+        // hard 0.0 in dimension 0; the cache must reproduce the naive
+        // loop's short-circuit of that row exactly and stay finite.
+        let near = MicroCluster::from_point(&UncertainPoint::exact(vec![0.0, 0.0]).unwrap());
+        let far = MicroCluster::from_point(&UncertainPoint::exact(vec![1e6, 0.0]).unwrap());
+        let mc = MicroClusterKde::fit_with_bandwidths(
+            &[near, far],
+            vec![1.0, 1.0],
+            ErrorKernelForm::Normalized,
+            true,
+        )
+        .unwrap();
+        let x = [0.0, 0.0];
+        for errs in [None, Some([0.5, 0.25].as_slice())] {
+            let psi = errs.map_or(0.0, |e| e[0]);
+            assert_eq!(mc.kernel.evaluate(1e6, 1.0, psi), 0.0, "no underflow");
+            let cols = mc.kernel_columns(&x, errs).unwrap();
+            for bits in 1u64..4 {
+                let s = Subspace::from_bits(bits);
+                let naive = mc.density_subspace_with_error(&x, errs, s).unwrap();
+                let cached = cols.density(s).unwrap();
+                assert_eq!(
+                    naive.to_bits(),
+                    cached.to_bits(),
+                    "subspace {bits:#b}, errs {errs:?}"
+                );
+                assert!(naive.is_finite());
+            }
+        }
+    }
+
+    #[test]
+    fn fastexp_build_within_budget_of_exact_build() {
+        // The bounded-error exp through the one builder, including
+        // weights and normalization, stays within 1e-6 relative of the
+        // libm build on every subspace — in both feature builds.
+        let pts: Vec<UncertainPoint> = (0..60)
+            .map(|i| {
+                let x = (i as f64 * 0.618_033_988_749).fract() * 20.0 - 10.0;
+                let y = (i as f64 * 0.414_213_562_373).fract() * 6.0;
+                UncertainPoint::new(vec![x, y], vec![(i % 4) as f64 * 0.2, 0.1]).unwrap()
+            })
+            .collect();
+        let d = UncertainDataset::from_points(pts).unwrap();
+        let m = MicroClusterMaintainer::from_dataset(&d, MaintainerConfig::new(8)).unwrap();
+        let mc = MicroClusterKde::fit(m.clusters(), KdeConfig::default()).unwrap();
+        for q in [[-9.5, 0.3], [0.0, 3.0], [4.2, 5.9], [11.0, -1.0]] {
+            for errs in [None, Some([0.3, 0.7].as_slice())] {
+                let exact = mc.build(&q, errs, f64::exp).unwrap();
+                let fast = mc.build(&q, errs, udm_kde::fast_exp).unwrap();
+                for bits in 1u64..4 {
+                    let s = Subspace::from_bits(bits);
+                    let a = exact.density(s).unwrap();
+                    let b = fast.density(s).unwrap();
+                    assert!(
+                        a > 0.0 && (a - b).abs() <= 1e-6 * a,
+                        "query {q:?} errs {errs:?} subspace {bits:#b}: exact {a} vs fast {b}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn overflowing_query_is_rejected_by_the_cache() {
+        // A query value and error near 1e200 overflow the kernel to
+        // inf/inf = NaN; the naive loop answers NaN, the cache refuses.
+        let d = dataset_1d(20);
+        let m = MicroClusterMaintainer::from_dataset(&d, MaintainerConfig::new(4)).unwrap();
+        let mc = MicroClusterKde::fit(m.clusters(), KdeConfig::default()).unwrap();
+        let (x, errs) = ([1e200], [1e200]);
+        let full = Subspace::full(1).unwrap();
+        assert!(mc
+            .density_subspace_with_error(&x, Some(&errs), full)
+            .unwrap()
+            .is_nan());
+        assert!(matches!(
+            mc.kernel_columns(&x, Some(&errs)),
+            Err(UdmError::InvalidValue { .. })
+        ));
+        // The value alone stays finite: every kernel is a hard 0.
+        assert_eq!(
+            mc.kernel_columns(&x, None).unwrap().density(full).unwrap(),
+            0.0
+        );
+    }
+
+    /// Replaces `first,` of the first `"key":[first,…]` in `json` with
+    /// `with`.
+    fn edit_first(json: &str, key: &str, with: &str) -> String {
+        let pattern = format!("\"{key}\":[");
+        let open = json.find(&pattern).unwrap() + pattern.len();
+        let comma = open + json[open..].find(',').unwrap();
+        format!("{}{with}{}", &json[..open], &json[comma + 1..])
+    }
+
+    #[test]
+    fn malformed_model_json_is_an_error() {
+        let mc = fitted_2d();
+        let json = serde_json::to_string(&mc).unwrap();
+        let restored: MicroClusterKde = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&restored).unwrap(), json);
+        for (what, edited) in [
+            ("missing bandwidth", edit_first(&json, "bandwidths", "")),
+            (
+                "missing centroid coordinate",
+                edit_first(&json, "centroid", ""),
+            ),
+            ("zero bandwidth", edit_first(&json, "bandwidths", "0.0,")),
+        ] {
+            assert_ne!(edited, json, "{what}: edit did nothing");
+            assert!(
+                serde_json::from_str::<MicroClusterKde>(&edited).is_err(),
+                "{what} deserialized"
+            );
+        }
+    }
+
+    #[test]
+    fn from_pseudo_points_checks_every_part() {
+        let good = fitted_2d();
+        let pseudos = good.pseudo_points().to_vec();
+        let hs = good.bandwidths().to_vec();
+        let n = good.total_points();
+        let form = ErrorKernelForm::Normalized;
+        assert!(MicroClusterKde::from_pseudo_points(pseudos.clone(), hs.clone(), form, n).is_ok());
+        assert!(MicroClusterKde::from_pseudo_points(vec![], hs.clone(), form, n).is_err());
+        assert!(MicroClusterKde::from_pseudo_points(pseudos.clone(), hs.clone(), form, 0).is_err());
+        // h·h underflows to 0: a point-mass kernel wherever Δ = 0.
+        for h in [0.0, -1.0, 1e-200, f64::NAN, f64::INFINITY] {
+            let bad = vec![hs[0], h];
+            assert!(
+                MicroClusterKde::from_pseudo_points(pseudos.clone(), bad, form, n).is_err(),
+                "bandwidth {h} accepted"
+            );
+        }
+        for (centroid, spread) in [
+            (f64::NAN, 0.1),
+            (0.0, f64::NAN),
+            (0.0, -0.5),
+            (0.0, f64::INFINITY),
+        ] {
+            let mut bad = pseudos.clone();
+            bad[0].centroid[1] = centroid;
+            bad[0].delta[1] = spread;
+            assert!(
+                MicroClusterKde::from_pseudo_points(bad, hs.clone(), form, n).is_err(),
+                "centroid {centroid}, spread {spread} accepted"
+            );
+        }
+        let mut ragged = pseudos.clone();
+        ragged[0].delta.pop();
+        assert!(MicroClusterKde::from_pseudo_points(ragged, hs.clone(), form, n).is_err());
+        let empty_dim = vec![PseudoPoint {
+            centroid: vec![],
+            delta: vec![],
+            weight: 1,
+        }];
+        assert!(MicroClusterKde::from_pseudo_points(empty_dim, vec![], form, n).is_err());
+    }
+
+    fn fitted_2d() -> MicroClusterKde {
+        let pts: Vec<UncertainPoint> = (0..30)
+            .map(|i| {
+                let x = (i as f64 * 0.618_033_988_749).fract() * 10.0;
+                UncertainPoint::new(vec![x, -x], vec![0.1, 0.2]).unwrap()
+            })
+            .collect();
+        let d = UncertainDataset::from_points(pts).unwrap();
+        let m = MicroClusterMaintainer::from_dataset(&d, MaintainerConfig::new(5)).unwrap();
+        MicroClusterKde::fit(m.clusters(), KdeConfig::default()).unwrap()
     }
 
     #[test]

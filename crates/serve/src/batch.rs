@@ -46,8 +46,6 @@ impl Default for BatchConfig {
 pub struct DensityReply {
     /// The density value (bit-identical to an unbatched evaluation).
     pub density: f64,
-    /// Whether the columnar fast path served the query.
-    pub columnar: bool,
     /// How many jobs were coalesced into the batch that answered this.
     pub batch_size: usize,
     /// Unique column caches the batch built (≤ `batch_size`).
@@ -237,7 +235,6 @@ fn evaluate_batch(kde: &MicroClusterKde, batch: &[Job]) {
                 };
                 density.map(|density| DensityReply {
                     density,
-                    columnar: cols.is_columnar(),
                     batch_size,
                     unique_builds,
                 })

@@ -41,8 +41,6 @@ pub struct DensityResponse {
     pub generation: u64,
     /// Batch size this query was coalesced into (1 = unbatched).
     pub batch_size: usize,
-    /// Whether the columnar fast path served the query.
-    pub columnar: bool,
 }
 
 /// A `/classify` request body.
@@ -205,16 +203,15 @@ pub fn handle_density(
                 density: reply.density,
                 generation: snap.generation,
                 batch_size: reply.batch_size,
-                columnar: reply.columnar,
             }
         }
         _ => snap.with_kde(&spec, |kde| {
-            let cols = kde.kernel_columns(&req.values, req.errors.as_deref())?;
             Ok(DensityResponse {
-                density: cols.density(subspace)?,
+                density: kde
+                    .kernel_columns(&req.values, req.errors.as_deref())?
+                    .density(subspace)?,
                 generation: snap.generation,
                 batch_size: 1,
-                columnar: cols.is_columnar(),
             })
         })?,
     };
@@ -514,7 +511,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(exact.density.to_bits(), default.density.to_bits());
-        assert!(exact.columnar);
 
         // A coreset override answers with a finite positive estimate.
         let coreset = handle_density(
