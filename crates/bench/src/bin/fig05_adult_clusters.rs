@@ -24,7 +24,7 @@ fn main() {
             .iter()
             .map(|r| {
                 vec![
-                    format!("{}", r.x as usize),
+                    format!("{:.0}", r.x),
                     format!("{:.4}", r.adjusted),
                     format!("{:.4}", r.unadjusted),
                     format!("{:.4}", r.nn),

@@ -26,7 +26,7 @@ fn accuracy_table(rows: &[udm_bench::AccuracyRow], x_name: &str, as_int: bool) -
             .map(|r| {
                 vec![
                     if as_int {
-                        format!("{}", r.x as usize)
+                        format!("{:.0}", r.x)
                     } else {
                         format!("{:.1}", r.x)
                     },

@@ -258,6 +258,12 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<
         .map_err(|_| invalid(format!("{flag}: cannot parse {raw:?}")))
 }
 
+/// `--f`, the paper's error level: finite and non-negative, with the
+/// error `ErrorModel::paper` would raise.
+fn parse_error_level(value: Option<String>) -> Result<f64> {
+    udm_core::error::ensure_non_negative("error level f", parse_num("--f", value)?)
+}
+
 fn parse_backend(value: Option<String>) -> Result<BackendSpec> {
     let raw = value.ok_or_else(|| invalid("--backend needs exact | coreset:EPS"))?;
     BackendSpec::parse(&raw)
@@ -305,7 +311,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command> {
             while let Some(flag) = it.next() {
                 match flag.as_str() {
                     "--n" => n = parse_num("--n", it.next())?,
-                    "--f" => f = parse_num("--f", it.next())?,
+                    "--f" => f = parse_error_level(it.next())?,
                     "--seed" => seed = parse_num("--seed", it.next())?,
                     "--out" => {
                         out = Some(PathBuf::from(
@@ -550,7 +556,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command> {
             while let Some(flag) = it.next() {
                 match flag.as_str() {
                     "--n" => n = parse_num("--n", it.next())?,
-                    "--f" => f = parse_num("--f", it.next())?,
+                    "--f" => f = parse_error_level(it.next())?,
                     "--q" => q = parse_num("--q", it.next())?,
                     "--threshold" => threshold = parse_num("--threshold", it.next())?,
                     "--rates" => rates = parse_f64_list("--rates", it.next())?,
@@ -975,6 +981,19 @@ mod tests {
         assert!(parse(&["chaos", "adult", "--rates", "0.1,1.5"]).is_err());
         assert!(parse(&["chaos", "adult", "--rates", "-0.1"]).is_err());
         assert!(parse(&["chaos", "adult", "--bogus"]).is_err());
+    }
+
+    #[test]
+    fn generate_and_chaos_validate_error_level() {
+        for sub in [&["generate", "adult"][..], &["chaos", "adult"]] {
+            for (f, shown) in [("nan", "NaN"), ("-1", "-1"), ("inf", "inf")] {
+                let argv: Vec<&str> = sub.iter().copied().chain(["--f", f]).collect();
+                let err = parse(&argv).unwrap_err().to_string();
+                assert_eq!(err, format!("invalid value for error level f: {shown}"));
+            }
+            let argv: Vec<&str> = sub.iter().copied().chain(["--f", "0"]).collect();
+            assert!(parse(&argv).is_ok());
+        }
     }
 
     #[test]

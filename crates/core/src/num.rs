@@ -150,9 +150,9 @@ pub const APPROX_EQ_REL: f64 = 1e-9;
 
 /// Tolerant float equality: `|a − b| ≤ max(ABS, REL·max(|a|, |b|))`.
 ///
-/// This is the helper the `udm-lint` **UDM002** fix mode rewrites bare
-/// float `==` comparisons into. NaN compares unequal to everything
-/// (including NaN), matching IEEE `==` semantics.
+/// This is the helper `udm-lint` rule **UDM002** asks bare float `==`
+/// comparisons to use. NaN compares unequal to everything (including
+/// NaN), matching IEEE `==` semantics.
 #[inline]
 pub fn approx_eq(a: f64, b: f64) -> bool {
     approx_eq_eps(a, b, APPROX_EQ_ABS, APPROX_EQ_REL)
@@ -210,8 +210,8 @@ pub fn ensure_finite_slice_opt(what: &'static str, values: Option<&[f64]>) -> Re
 
 /// `u64` point/weight count as `f64`, with a debug-time guard that the
 /// count is exactly representable (`≤ 2⁵³`). The sanctioned conversion
-/// for hot-path modules where `udm-lint` rule **UDM004** bans bare lossy
-/// `as` casts.
+/// for the kernel modules, where `clippy::as_conversions` bans bare `as`
+/// casts.
 #[inline]
 pub fn f64_from_count(n: u64) -> f64 {
     debug_assert!(

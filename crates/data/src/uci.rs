@@ -171,6 +171,10 @@ impl UciDataset {
     /// the fine-grained multi-modal structure of real data. Sub-cluster
     /// weights within a class are drawn from `U[0.5, 1.5]` and scaled so
     /// the class priors match the real dataset's.
+    #[expect(
+        clippy::expect_used,
+        reason = "specs are drawn from bounded finite ranges, validation cannot fail"
+    )]
     pub fn mixture(self) -> MixtureGenerator {
         let dim = self.dim();
         let priors = self.class_priors();
@@ -204,7 +208,6 @@ impl UciDataset {
             }
         }
         MixtureGenerator::new_with_labels(dim, components, labels)
-            // udm-lint: allow(UDM001) specs are drawn from bounded finite ranges, validation cannot fail
             .expect("profile specs are valid by construction")
     }
 

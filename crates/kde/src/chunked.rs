@@ -22,6 +22,8 @@
 //! path performs no per-call allocation; re-entrant use (or a poisoned
 //! borrow) falls back to a fresh allocation rather than panicking.
 
+#![cfg_attr(not(test), warn(clippy::as_conversions))]
+
 use std::cell::RefCell;
 
 /// Width of the unrolled multiply body. Eight f64 lanes span one or

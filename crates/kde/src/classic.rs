@@ -9,6 +9,8 @@
 //! become usable for fast density queries: points outside the support
 //! radius contribute exactly zero.
 
+#![cfg_attr(not(test), warn(clippy::as_conversions))]
+
 use crate::bandwidth::BandwidthRule;
 use crate::kernel::Kernel;
 use udm_core::num::{ensure_finite_slice, f64_from_usize};

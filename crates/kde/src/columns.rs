@@ -36,6 +36,8 @@
 //! one only through overflow (a query value and error near `1e200`),
 //! where the naive loop's answer is NaN anyway.
 
+#![cfg_attr(not(test), warn(clippy::as_conversions))]
+
 use crate::chunked;
 use udm_core::{Result, Subspace, UdmError};
 

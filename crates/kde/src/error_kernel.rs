@@ -28,6 +28,8 @@
 //! of §3 implicitly assume. The difference is benchmarked in the ablation
 //! suite.
 
+#![cfg_attr(not(test), warn(clippy::as_conversions))]
+
 use crate::fastexp::hot_exp;
 use crate::kernel::INV_SQRT_2PI;
 use serde::{Deserialize, Serialize};

@@ -45,6 +45,8 @@
 //! `hot_exp` is exactly `f64::exp` and every density is bit-for-bit
 //! reproducible against the scalar reference path.
 
+#![cfg_attr(not(test), warn(clippy::as_conversions))]
+
 /// Documented absolute error bound of [`fast_exp`] against `f64::exp`
 /// for arguments `x ≤ 0` (the Gaussian kernel's domain). Enforced by
 /// proptests in this module; quoted in DESIGN.md's error budget.

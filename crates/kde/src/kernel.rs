@@ -5,6 +5,8 @@
 //! Gaussian case). All kernels here integrate to 1 over ℝ, which the test
 //! suite verifies by quadrature.
 
+#![cfg_attr(not(test), warn(clippy::as_conversions))]
+
 use serde::{Deserialize, Serialize};
 
 /// The constant `1/√(2π)`.

@@ -319,7 +319,7 @@ pub struct Ast {
     /// Number of tokens in the underlying lexed stream.
     pub n_tokens: usize,
     /// Parse irregularities (unbalanced delimiters, EOF in a block).
-    /// Non-empty errors send the engine down the lexer fallback path.
+    /// Non-empty errors fail the check for the file.
     pub errors: Vec<String>,
 }
 

@@ -1,9 +1,6 @@
-//! AST-backed rules: the scope-aware UDM005 port, and the
+//! AST-backed rules: the scope-aware UDM005, and the
 //! concurrency/determinism rules UDM007 and UDM009 built on the
-//! [`crate::scope`] capture analysis. These only run when the parser
-//! produced a full-coverage AST; on the lexer fallback path UDM005
-//! falls back to its token implementation and UDM007/UDM009 are
-//! skipped for that file (the engine logs the degradation).
+//! [`crate::scope`] capture analysis.
 
 use crate::ast::{Ast, Item, ItemKind, Node};
 use crate::context::FileContext;
@@ -112,7 +109,7 @@ fn body_indices(item: &Item) -> Vec<usize> {
     idx
 }
 
-// ---- UDM005 (AST port) --------------------------------------------------
+// ---- UDM005 -------------------------------------------------------------
 
 /// Guard identifiers that count as input validation.
 const GUARD_IDENTS: [&str; 6] = [
@@ -124,11 +121,11 @@ const GUARD_IDENTS: [&str; 6] = [
     "is_finite",
 ];
 
-/// UDM005 on the AST: `pub fn density*` / `pub fn classify*` — and the
+/// UDM005: `pub fn density*` / `pub fn classify*` — and the
 /// serve-layer request handlers `pub fn handle_*density*` /
 /// `pub fn handle_*classify*` — taking float input must validate or
-/// delegate. The AST form gets exact item extents (no brace-counting
-/// drift) and exact `pub` + test gating.
+/// delegate. The AST gives exact item extents and exact `pub` + test
+/// gating.
 fn udm005_entry_validation(lexed: &Lexed, ast: &Ast, ctx: &FileContext, out: &mut Vec<Diagnostic>) {
     if !ctx.is_library {
         return;
@@ -188,7 +185,6 @@ fn udm005_entry_validation(lexed: &Lexed, ast: &Ast, ctx: &FileContext, out: &mu
                      but neither validates finiteness (udm_core::num::ensure_finite_slice) \
                      nor delegates to a validating entry point"
                 ),
-                offset: name_tok.map_or(0, |t| t.start),
             });
         }
     });
@@ -364,7 +360,6 @@ fn flag_par_closure(rep: &ClosureReport, ctx: &FileContext, out: &mut Vec<Diagno
                      a map+reduce without shared state)",
                     cap.name
                 ),
-                offset: 0,
             });
             continue;
         }
@@ -386,7 +381,6 @@ fn flag_par_closure(rep: &ClosureReport, ctx: &FileContext, out: &mut Vec<Diagno
                      a pure map and reduce the results sequentially",
                     cap.name
                 ),
-                offset: 0,
             });
         }
     }
@@ -545,7 +539,6 @@ fn check_init_closure_body(
                      makes the cached value run-dependent; compute it from \
                      explicit inputs (seed, config) instead"
                 ),
-                offset: t.start,
             });
             break;
         }
@@ -561,7 +554,6 @@ fn check_init_closure_body(
                  before folding",
                 it.name, it.ty
             ),
-            offset: 0,
         });
     }
 }
@@ -577,7 +569,7 @@ mod tests {
         let ast = parse(&lexed);
         assert!(ast.errors.is_empty(), "{:?}", ast.errors);
         assert!(ast.covers_all_tokens());
-        let ctx = FileContext::new("fixture.rs", &lexed, true);
+        let ctx = FileContext::new("fixture.rs", &lexed, &ast, true);
         run_ast_rules(&lexed, &ast, &ctx)
     }
 
@@ -596,6 +588,8 @@ mod tests {
         for src in [
             "pub fn density(&self, x: &[f64]) -> f64 { ensure_finite_slice(\"q\", x).unwrap_or(0.0); self.sum(x) }",
             "pub fn density(&self, x: &[f64]) -> f64 { self.density_subspace(x, 0) }",
+            "pub fn classify(&self, x: &UncertainPoint) -> L { self.log_scores(x) }",
+            "pub fn density_meta(&self) -> usize { 3 }",
             "fn density_private(x: &[f64]) -> f64 { x[0] }",
         ] {
             assert!(!rules_of(&lint(src)).contains(&"UDM005"), "{src}");

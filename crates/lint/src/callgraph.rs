@@ -185,7 +185,6 @@ fn scan_tokens(
                  or route through the feature-dispatching wrapper (hot_exp)",
                 t.text
             ),
-            offset: t.start,
         });
     }
 }
@@ -201,8 +200,8 @@ mod tests {
         let asts: Vec<_> = lexed.iter().map(parse).collect();
         let ctxs: Vec<_> = sources
             .iter()
-            .zip(&lexed)
-            .map(|((path, _), l)| FileContext::new(path, l, true))
+            .zip(lexed.iter().zip(&asts))
+            .map(|((path, _), (l, ast))| FileContext::new(path, l, ast, true))
             .collect();
         for (ast, (path, _)) in asts.iter().zip(sources) {
             assert!(ast.errors.is_empty(), "{path}: {:?}", ast.errors);

@@ -2,11 +2,10 @@
 //! rules apply to it, and which byte regions are test code.
 
 use crate::ast::Ast;
-use crate::lexer::{Lexed, Tok};
-use std::path::Path;
+use crate::lexer::Lexed;
 
-/// Library crates whose non-test code must be panic-free (UDM001) and
-/// whose public estimator entry points must validate inputs (UDM005).
+/// Library crates. UDM003, UDM005 and UDM006 cover their non-test
+/// code, and each crate root declares clippy's panic lints for it.
 pub const LIBRARY_CRATES: [&str; 7] = [
     "core",
     "kde",
@@ -17,30 +16,13 @@ pub const LIBRARY_CRATES: [&str; 7] = [
     "serve",
 ];
 
-/// Hot-path modules (crate/file-stem) where lossy `as` casts are
-/// forbidden (UDM004): the per-query kernels and micro-cluster math.
-pub const HOT_PATH_MODULES: [&str; 10] = [
-    "kde/error_kernel",
-    "kde/estimator",
-    "kde/columns",
-    "kde/chunked",
-    "kde/fastexp",
-    "kde/classic",
-    "kde/kernel",
-    "microcluster/density",
-    "microcluster/feature",
-    "microcluster/distance",
-];
-
 /// How the rules treat one file.
 #[derive(Debug, Clone)]
 pub struct FileContext {
     /// Root-relative path (forward slashes), as shown in diagnostics.
     pub rel_path: String,
-    /// Library-crate `src/` code (UDM001/UDM003/UDM005 apply).
+    /// Library-crate `src/` code (UDM003/UDM005/UDM006 apply).
     pub is_library: bool,
-    /// Hot-path module (UDM004 applies).
-    pub is_hot_path: bool,
     /// Entire file is test/bench code (`tests/`, `benches/`, examples).
     pub is_test_file: bool,
     /// Byte ranges of `#[cfg(test)]` / `#[test]` items.
@@ -48,9 +30,11 @@ pub struct FileContext {
 }
 
 impl FileContext {
-    /// Builds the context for a file. In `fixture_mode` every file is
-    /// treated as library + hot-path non-test code so every rule fires.
-    pub fn new(rel_path: &str, lexed: &Lexed, fixture_mode: bool) -> Self {
+    /// Builds the context for a parsed file. Test regions come from the
+    /// AST: exact item extents and full `cfg` predicate evaluation. In
+    /// `fixture_mode` every file is treated as library non-test code so
+    /// every rule fires.
+    pub fn new(rel_path: &str, lexed: &Lexed, ast: &Ast, fixture_mode: bool) -> Self {
         let rel_path = rel_path.replace('\\', "/");
         let parts: Vec<&str> = rel_path.split('/').collect();
         let crate_name = if parts.len() >= 2 && parts[0] == "crates" {
@@ -63,29 +47,7 @@ impl FileContext {
             && (parts.contains(&"tests")
                 || parts.contains(&"benches")
                 || parts.contains(&"examples"));
-        let stem = Path::new(&rel_path)
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("")
-            .to_string();
-        let module = format!("{crate_name}/{stem}");
-        FileContext {
-            is_library: fixture_mode || (in_src && LIBRARY_CRATES.contains(&crate_name)),
-            is_hot_path: fixture_mode || (in_src && HOT_PATH_MODULES.contains(&module.as_str())),
-            is_test_file,
-            test_regions: find_test_regions(&lexed.toks),
-            rel_path,
-        }
-    }
-
-    /// Builds the context with *scope-aware* test regions derived from
-    /// the parsed AST (exact item extents and full `cfg` predicate
-    /// evaluation) instead of the token heuristic. Used whenever the
-    /// parser produced a full-coverage tree; `FileContext::new` remains
-    /// the lexer-fallback path.
-    pub fn from_ast(rel_path: &str, lexed: &Lexed, ast: &Ast, fixture_mode: bool) -> Self {
-        let mut ctx = Self::new(rel_path, lexed, fixture_mode);
-        let mut regions = Vec::new();
+        let mut test_regions = Vec::new();
         ast.visit_items(&mut |item, ancestors| {
             // Only the outermost test-gated item opens a region.
             if item.is_test_gated() && !ancestors.iter().any(|a| a.is_test_gated()) {
@@ -94,12 +56,16 @@ impl FileContext {
                     lexed.toks.get(s),
                     e.checked_sub(1).and_then(|k| lexed.toks.get(k)),
                 ) {
-                    regions.push((st.start, et.end));
+                    test_regions.push((st.start, et.end));
                 }
             }
         });
-        ctx.test_regions = regions;
-        ctx
+        FileContext {
+            is_library: fixture_mode || (in_src && LIBRARY_CRATES.contains(&crate_name)),
+            is_test_file,
+            test_regions,
+            rel_path,
+        }
     }
 
     /// True if the byte offset lies inside test code.
@@ -112,102 +78,21 @@ impl FileContext {
     }
 }
 
-/// Finds byte ranges of items gated by `#[cfg(test)]` (or variants whose
-/// `cfg` predicate mentions `test`) and of `#[test]` functions: from the
-/// attribute's `#` to the matching `}` of the item body.
-fn find_test_regions(toks: &[Tok]) -> Vec<(usize, usize)> {
-    let mut regions = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].is_punct("#") && i + 1 < toks.len() && toks[i + 1].is_punct("[") {
-            let attr_start = toks[i].start;
-            // Find matching `]` and check the attribute mentions test.
-            let mut depth = 0usize;
-            let mut j = i + 1;
-            let mut is_test_attr = false;
-            let mut saw_cfg = false;
-            let mut saw_test = false;
-            while j < toks.len() {
-                let t = &toks[j];
-                if t.is_punct("[") || t.is_punct("(") {
-                    depth += 1;
-                } else if t.is_punct("]") || t.is_punct(")") {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if t.is_ident("cfg") {
-                    saw_cfg = true;
-                } else if t.is_ident("test") || t.is_ident("tests") {
-                    saw_test = true;
-                    // `#[test]` exactly: `#`, `[`, `test`, `]`
-                    if j == i + 2 && j + 1 < toks.len() && toks[j + 1].is_punct("]") {
-                        is_test_attr = true;
-                    }
-                }
-                j += 1;
-            }
-            if (saw_cfg && saw_test) || is_test_attr {
-                // Skip any further attributes, then brace-match the item.
-                let mut k = j + 1;
-                while k + 1 < toks.len() && toks[k].is_punct("#") && toks[k + 1].is_punct("[") {
-                    let mut d = 0usize;
-                    k += 1;
-                    while k < toks.len() {
-                        if toks[k].is_punct("[") {
-                            d += 1;
-                        } else if toks[k].is_punct("]") {
-                            d -= 1;
-                            if d == 0 {
-                                break;
-                            }
-                        }
-                        k += 1;
-                    }
-                    k += 1;
-                }
-                // Find the item's opening `{` (stop at `;` for
-                // declarations like `mod tests;`).
-                while k < toks.len() && !toks[k].is_punct("{") && !toks[k].is_punct(";") {
-                    k += 1;
-                }
-                if k < toks.len() && toks[k].is_punct("{") {
-                    let mut d = 0usize;
-                    while k < toks.len() {
-                        if toks[k].is_punct("{") {
-                            d += 1;
-                        } else if toks[k].is_punct("}") {
-                            d -= 1;
-                            if d == 0 {
-                                break;
-                            }
-                        }
-                        k += 1;
-                    }
-                    let end = toks.get(k).map_or(usize::MAX, |t| t.end);
-                    regions.push((attr_start, end));
-                    i = k + 1;
-                    continue;
-                }
-            }
-            i = j + 1;
-        } else {
-            i += 1;
-        }
-    }
-    regions
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
+    use crate::parser::parse;
+
+    fn context(rel_path: &str, src: &str, fixture_mode: bool) -> FileContext {
+        let l = lex(src);
+        FileContext::new(rel_path, &l, &parse(&l), fixture_mode)
+    }
 
     #[test]
     fn cfg_test_module_region_covers_body() {
         let src = "fn a() {}\n#[cfg(test)]\nmod tests {\n fn b() { x.unwrap(); }\n}\nfn c() {}";
-        let l = lex(src);
-        let ctx = FileContext::new("crates/core/src/x.rs", &l, false);
+        let ctx = context("crates/core/src/x.rs", src, false);
         assert_eq!(ctx.test_regions.len(), 1);
         let unwrap_pos = src.find("unwrap").unwrap();
         assert!(ctx.in_test(unwrap_pos));
@@ -218,37 +103,31 @@ mod tests {
     #[test]
     fn test_fn_attribute_region() {
         let src = "#[test]\nfn t() { y.unwrap(); }\nfn real() {}";
-        let l = lex(src);
-        let ctx = FileContext::new("crates/kde/src/x.rs", &l, false);
+        let ctx = context("crates/kde/src/x.rs", src, false);
         assert!(ctx.in_test(src.find("y.unwrap").unwrap()));
         assert!(!ctx.in_test(src.find("fn real").unwrap()));
     }
 
     #[test]
-    fn library_and_hot_path_classification() {
-        let l = lex("");
-        let c = FileContext::new("crates/kde/src/estimator.rs", &l, false);
-        assert!(c.is_library && c.is_hot_path);
-        let c = FileContext::new("crates/kde/src/bandwidth.rs", &l, false);
-        assert!(c.is_library && !c.is_hot_path);
-        let c = FileContext::new("crates/cli/src/main.rs", &l, false);
-        assert!(!c.is_library && !c.is_hot_path);
-        let c = FileContext::new("crates/core/tests/int.rs", &l, false);
+    fn library_and_test_file_classification() {
+        let c = context("crates/kde/src/estimator.rs", "", false);
+        assert!(c.is_library && !c.is_test_file);
+        let c = context("crates/cli/src/main.rs", "", false);
+        assert!(!c.is_library);
+        let c = context("crates/core/tests/int.rs", "", false);
         assert!(c.is_test_file);
     }
 
     #[test]
     fn fixture_mode_enables_everything() {
-        let l = lex("");
-        let c = FileContext::new("udm001.rs", &l, true);
-        assert!(c.is_library && c.is_hot_path && !c.is_test_file);
+        let c = context("udm002.rs", "", true);
+        assert!(c.is_library && !c.is_test_file);
     }
 
     #[test]
     fn derive_attributes_do_not_open_regions() {
         let src = "#[derive(Debug)]\nstruct S;\nfn f() { x.unwrap(); }";
-        let l = lex(src);
-        let ctx = FileContext::new("crates/core/src/x.rs", &l, false);
+        let ctx = context("crates/core/src/x.rs", src, false);
         assert!(ctx.test_regions.is_empty());
         assert!(!ctx.in_test(src.find("unwrap").unwrap()));
     }

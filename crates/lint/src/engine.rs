@@ -3,16 +3,14 @@
 //!
 //! Three passes:
 //!
-//! 1. **Per file** — lex, then parse with [`crate::parser`]. A file
-//!    whose AST has zero errors and total token coverage runs the token
-//!    rules *and* the AST rules (UDM005 scope-aware port, UDM007,
-//!    UDM009); anything else degrades to the lexer-only rule set and is
-//!    recorded in [`CheckReport::parse_fallbacks`] — degradation is
-//!    logged, never silent.
+//! 1. **Per file** — lex, then parse with [`crate::parser`], then run the
+//!    token rules and the AST rules (UDM005, UDM007, UDM009). A file
+//!    whose parse has errors or leaves tokens uncovered fails the whole
+//!    check, naming the file and the parser's first error.
 //! 2. **Cross-file** — the UDM008 fast-math isolation pass over every
-//!    successfully parsed file ([`crate::callgraph`]).
-//! 3. **Waivers** — inline + `lint.toml` filtering, with unused-waiver
-//!    tracking on both sources so stale allows get burned down.
+//!    file ([`crate::callgraph`]).
+//! 3. **Waivers** — inline-comment filtering, with unused-waiver
+//!    tracking so stale allows get burned down.
 
 use crate::ast::Ast;
 use crate::astrules::run_ast_rules;
@@ -20,8 +18,8 @@ use crate::callgraph::{udm008_fast_math_isolation, FileAst};
 use crate::context::FileContext;
 use crate::lexer::{lex, Lexed};
 use crate::rules::{run_token_rules, Diagnostic, ALL_RULES};
-use crate::waivers::{apply_waivers, inline_waivers, parse_lint_toml, TomlWaiver};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::waivers::{apply_waivers, inline_waivers};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -39,12 +37,6 @@ pub struct CheckReport {
     pub per_rule: BTreeMap<&'static str, (usize, usize)>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Number of files with a full-coverage AST (AST rules ran).
-    pub parsed_files: usize,
-    /// Files that degraded to the lexer-only path, with the reason.
-    pub parse_fallbacks: Vec<String>,
-    /// `lint.toml` entries that matched nothing (likely stale).
-    pub unused_toml_waivers: Vec<String>,
     /// Inline `// udm-lint: allow(..)` comments that matched nothing.
     pub unused_inline_waivers: Vec<String>,
 }
@@ -53,8 +45,7 @@ pub struct CheckReport {
 struct FileAnalysis {
     rel: String,
     lexed: Lexed,
-    /// Present only when the parse met the full-coverage bar.
-    ast: Option<Ast>,
+    ast: Ast,
     ctx: FileContext,
     diags: Vec<Diagnostic>,
 }
@@ -92,17 +83,21 @@ pub fn is_workspace_root(root: &Path) -> bool {
         .unwrap_or(false)
 }
 
-/// Loads `root/lint.toml` if present.
-pub fn load_lint_toml(root: &Path) -> Result<Vec<TomlWaiver>, String> {
-    match std::fs::read_to_string(root.join("lint.toml")) {
-        Ok(text) => parse_lint_toml(&text),
-        Err(_) => Ok(Vec::new()),
+/// Why a parse falls short of the bar every rule needs (zero errors
+/// and total token coverage), or `None` when it meets it.
+fn parse_failure(ast: &Ast) -> Option<String> {
+    if let Some(e) = ast.errors.first() {
+        Some(e.clone())
+    } else if !ast.covers_all_tokens() {
+        Some("incomplete token coverage".to_string())
+    } else {
+        None
     }
 }
 
-/// Runs the full check over `root`.
+/// Runs the full check over `root`. Fails on the first file that
+/// cannot be read or does not parse.
 pub fn check(root: &Path) -> Result<CheckReport, String> {
-    let toml = load_lint_toml(root)?;
     let fixture_mode = !is_workspace_root(root);
     let files = collect_rust_files(root).map_err(|e| format!("walking {}: {e}", root.display()))?;
     let mut report = CheckReport::default();
@@ -122,23 +117,12 @@ pub fn check(root: &Path) -> Result<CheckReport, String> {
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
         let lexed = lex(&src);
         let ast = crate::parser::parse(&lexed);
-        let full_coverage = ast.errors.is_empty() && ast.covers_all_tokens();
-        let (ast, ctx, diags) = if full_coverage {
-            let ctx = FileContext::from_ast(&rel, &lexed, &ast, fixture_mode);
-            let mut diags = run_token_rules(&lexed, &ctx, true);
-            diags.extend(run_ast_rules(&lexed, &ast, &ctx));
-            (Some(ast), ctx, diags)
-        } else {
-            let reason = ast
-                .errors
-                .first()
-                .cloned()
-                .unwrap_or_else(|| "incomplete token coverage".to_string());
-            report.parse_fallbacks.push(format!("{rel}: {reason}"));
-            let ctx = FileContext::new(&rel, &lexed, fixture_mode);
-            let diags = run_token_rules(&lexed, &ctx, false);
-            (None, ctx, diags)
-        };
+        if let Some(reason) = parse_failure(&ast) {
+            return Err(format!("{rel} does not parse: {reason}"));
+        }
+        let ctx = FileContext::new(&rel, &lexed, &ast, fixture_mode);
+        let mut diags = run_token_rules(&lexed, &ctx);
+        diags.extend(run_ast_rules(&lexed, &ast, &ctx));
         analyses.push(FileAnalysis {
             rel,
             lexed,
@@ -148,17 +132,14 @@ pub fn check(root: &Path) -> Result<CheckReport, String> {
         });
         report.files_scanned += 1;
     }
-    report.parsed_files = analyses.iter().filter(|a| a.ast.is_some()).count();
 
-    // Pass 2: cross-file UDM008 over every successfully parsed file.
+    // Pass 2: cross-file UDM008.
     let parsed: Vec<FileAst<'_>> = analyses
         .iter()
-        .filter_map(|a| {
-            a.ast.as_ref().map(|ast| FileAst {
-                lexed: &a.lexed,
-                ast,
-                ctx: &a.ctx,
-            })
+        .map(|a| FileAst {
+            lexed: &a.lexed,
+            ast: &a.ast,
+            ctx: &a.ctx,
         })
         .collect();
     let udm008 = udm008_fast_math_isolation(&parsed);
@@ -169,16 +150,14 @@ pub fn check(root: &Path) -> Result<CheckReport, String> {
         }
     }
 
-    // Pass 3: waivers, with unused tracking on both sources.
-    let mut used_toml: BTreeSet<usize> = BTreeSet::new();
+    // Pass 3: waivers, with unused tracking.
     for a in analyses {
         for d in &a.diags {
             report.per_rule.entry(d.rule).or_insert((0, 0)).0 += 1;
         }
         let inline = inline_waivers(&a.lexed);
-        let outcome = apply_waivers(a.diags, &inline, &toml);
+        let outcome = apply_waivers(a.diags, &inline);
         report.waived += outcome.waived;
-        used_toml.extend(outcome.used_toml);
         for (i, w) in inline.iter().enumerate() {
             if !outcome.used_inline.contains(&i) {
                 let line = w.lines.iter().next().copied().unwrap_or(0);
@@ -204,25 +183,12 @@ pub fn check(root: &Path) -> Result<CheckReport, String> {
         .diagnostics
         .sort_by(|a, b| a.path.cmp(&b.path).then(a.line.cmp(&b.line)));
     report.unused_inline_waivers.sort();
-    report.unused_toml_waivers = toml
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !used_toml.contains(i))
-        .map(|(_, w)| {
-            format!(
-                "{}:{}{}",
-                w.rule,
-                w.path,
-                w.line.map(|l| format!(":{l}")).unwrap_or_default()
-            )
-        })
-        .collect();
     Ok(report)
 }
 
 /// Robustness smoke: parse every `.rs` file under `root` (including
 /// roots the rule walk never sees, e.g. `vendor/`) and report per-file
-/// outcomes. Returns `(parsed_ok, fallbacks)`; any panic or I/O error
+/// outcomes. Returns `(parsed_ok, unparsed)`; any panic or I/O error
 /// is a hard failure of the calling command.
 pub fn parse_smoke(root: &Path) -> Result<(usize, Vec<String>), String> {
     let mut stack = vec![root.to_path_buf()];
@@ -246,29 +212,23 @@ pub fn parse_smoke(root: &Path) -> Result<(usize, Vec<String>), String> {
     }
     files.sort();
     let mut ok = 0usize;
-    let mut fallbacks = Vec::new();
+    let mut unparsed = Vec::new();
     for path in files {
         let src = std::fs::read_to_string(&path)
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        let lexed = lex(&src);
-        let ast = crate::parser::parse(&lexed);
-        if ast.errors.is_empty() && ast.covers_all_tokens() {
-            ok += 1;
-        } else {
-            let reason = ast
-                .errors
-                .first()
-                .cloned()
-                .unwrap_or_else(|| "incomplete token coverage".to_string());
-            fallbacks.push(format!("{}: {reason}", path.display()));
+        let ast = crate::parser::parse(&lex(&src));
+        match parse_failure(&ast) {
+            None => ok += 1,
+            Some(reason) => unparsed.push(format!("{}: {reason}", path.display())),
         }
     }
-    Ok((ok, fallbacks))
+    Ok((ok, unparsed))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn workspace_detection() {
@@ -299,25 +259,14 @@ mod tests {
     fn fixture_corpus_parses_without_fallback() {
         let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
         let report = check(&fixtures).unwrap();
-        assert_eq!(report.parse_fallbacks, Vec::<String>::new());
-        assert_eq!(report.parsed_files, report.files_scanned);
+        let on_disk = collect_rust_files(&fixtures).unwrap().len();
+        assert_eq!(report.files_scanned, on_disk);
     }
 
     #[test]
     fn fixture_diagnostics_have_expected_lines() {
         let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
         let report = check(&fixtures).unwrap();
-        // udm001.rs marks its violations with `// line:` comments kept in
-        // sync with the fixture content.
-        let udm001: Vec<usize> = report
-            .diagnostics
-            .iter()
-            .filter(|d| d.rule == "UDM001" && d.path == "udm001.rs")
-            .map(|d| d.line)
-            .collect();
-        // Lines 20 and 24 are the quarantine-drain / checkpoint-restore
-        // shaped violations.
-        assert_eq!(udm001, vec![4, 9, 14, 20, 24], "{report:?}");
         let udm005: Vec<usize> = report
             .diagnostics
             .iter()
@@ -349,10 +298,10 @@ mod tests {
             .parent()
             .unwrap()
             .join("vendor");
-        let (ok, fallbacks) = parse_smoke(&root).unwrap();
-        // The smoke contract is totality, not zero fallbacks: every
-        // file must come back as parsed or as a logged fallback.
-        assert!(ok + fallbacks.len() > 0);
-        assert!(ok > 0, "no vendor file parsed cleanly: {fallbacks:?}");
+        let (ok, unparsed) = parse_smoke(&root).unwrap();
+        // The smoke contract is totality, not zero failures: every file
+        // must come back as parsed or as a logged parse failure.
+        assert!(ok + unparsed.len() > 0);
+        assert!(ok > 0, "no vendor file parsed cleanly: {unparsed:?}");
     }
 }

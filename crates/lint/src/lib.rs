@@ -2,29 +2,26 @@
 //!
 //! A custom static-analysis pass over the workspace's Rust sources,
 //! enforcing the numeric-safety, concurrency and determinism invariants
-//! the uncertain-data-mining crates rely on (see `DESIGN.md`, "Numeric
-//! invariants & static analysis"). Built on a self-contained lexer plus
-//! a hand-rolled recursive-descent parser ([`parser`]) — no external
-//! parser dependencies — so it runs in the offline build image. Files
-//! whose parse achieves zero errors and total token coverage get the
-//! scope-aware AST rules; anything else degrades to the lexer-only rule
-//! set and is *logged* in the report (`parse_fallbacks`), never
-//! silently skipped.
+//! the uncertain-data-mining crates rely on that clippy cannot express
+//! (see `DESIGN.md`, "Numeric invariants & static analysis"). Built on a
+//! self-contained lexer plus a hand-rolled recursive-descent parser
+//! ([`parser`]) — no external parser dependencies — so it runs in the
+//! offline build image. Every scanned file must parse with zero errors
+//! and total token coverage; one that does not fails the check.
 //!
 //! Rules:
 //!
-//! * **UDM001** — no `unwrap()`/`expect()`/`panic!`/`todo!`/
-//!   `unimplemented!` in non-test code of the library crates.
 //! * **UDM002** — no bare `==`/`!=` against float expressions outside
 //!   test modules; use `udm_core::num::approx_eq` (comparisons against
 //!   `fract()` results are exempt — they are exact by construction).
+//!   Clippy's `float_cmp` skips comparisons with zero, which are exactly
+//!   the guards this rule makes every site justify.
 //! * **UDM003** — `sqrt` of variance-like expressions must route
 //!   through `udm_core::num::clamped_sqrt` (catastrophic cancellation
 //!   can drive the radicand negative).
-//! * **UDM004** — no lossy `as` casts in the hot-path kernel modules.
 //! * **UDM005** — public estimator entry points (`density*`,
 //!   `classify*`) must validate finite inputs or delegate to an entry
-//!   point that does (AST-scoped when a full parse is available).
+//!   point that does.
 //! * **UDM006** — `udm_observe::span!` guards must be bound to a named
 //!   variable; `let _ = span!(..)` and bare `span!(..);` statements drop
 //!   the RAII guard immediately, so the span covers nothing.
@@ -39,18 +36,18 @@
 //! * **UDM009** — `OnceLock`/`OnceCell`/`Lazy` initialisers must be
 //!   deterministic: no RNG, clocks, thread ids, or unordered-map
 //!   iteration inside the init closure.
-//! * **UDM010** — every `unsafe` block needs an adjacent `// SAFETY:`
-//!   comment justifying its invariants.
 //!
-//! Waivers: inline `// udm-lint: allow(RULE) reason` comments (cover
-//! their own line and the next code line), or `lint.toml` entries
-//! `"RULE:path[:line]" = "reason"` under `[waivers]`. Unused waivers of
-//! both kinds are reported so the allowlist only ever shrinks.
+//! Panicking calls in library code, `as` casts in the kernel modules
+//! and undocumented `unsafe` blocks are clippy lints declared next to
+//! the code they govern (`DESIGN.md` lists where).
+//!
+//! Waivers: inline `// udm-lint: allow(RULE) reason` comments cover
+//! their own line and the next code line. A waiver that matches nothing
+//! fails the check, so the allowlist only ever shrinks.
 //!
 //! Run with `cargo run -p udm-lint -- check [--root PATH] [--stats]
-//! [--format text|json|sarif] [--deny-fallback]
-//! [--deny-unused-waivers]`, `... parse --root PATH` (parser robustness
-//! smoke), or `... fix --rule UDM002|UDM010 [--apply]`.
+//! [--format text|json|sarif]` or `... parse --root PATH` (parser
+//! robustness smoke).
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -60,7 +57,6 @@ pub mod astrules;
 pub mod callgraph;
 pub mod context;
 pub mod engine;
-pub mod fix;
 pub mod lexer;
 pub mod output;
 pub mod parser;

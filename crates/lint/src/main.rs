@@ -2,41 +2,30 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use udm_lint::fix::SUPPORTED_FIX_RULES;
 
 const USAGE: &str = "\
-udm-lint: workspace invariant linter (rules UDM001-UDM010)
+udm-lint: workspace invariant linter (rules UDM002, UDM003, UDM005-UDM009)
 
 USAGE:
   udm-lint check [--root PATH] [--stats] [--format text|json|sarif]
-                 [--deny-fallback] [--deny-unused-waivers]
   udm-lint parse [--root PATH]
-  udm-lint fix --rule UDM002|UDM010 [--root PATH] [--apply]
   udm-lint help
 
-check exits 0 when no unwaived diagnostics remain, 1 otherwise.
+check exits 0 when no unwaived diagnostics and no unused waivers
+  remain, 1 otherwise, and 2 when a file cannot be read or does not
+  parse.
   --format json|sarif writes the machine-readable report to stdout
     (diagnostics still gate the exit code).
-  --deny-fallback also fails when any file degraded to the lexer-only
-    rule path because its parse was incomplete.
-  --deny-unused-waivers also fails when an inline or lint.toml waiver
-    matched nothing (stale allows must be deleted).
 parse is a parser robustness smoke: parses every .rs file under the
-  root (including vendored code) and reports per-file fallbacks; exits
-  0 unless a file cannot be read.
-fix is a dry run unless --apply is given. UDM010 plans
-  `// SAFETY: TODO(justify)` stubs and is dry-run only.
+  root (including vendored code) and reports the files that do not
+  parse; exits 0 unless a file cannot be read.
 ";
 
 struct Args {
     command: String,
     root: PathBuf,
     stats: bool,
-    apply: bool,
-    rule: Option<String>,
     format: String,
-    deny_fallback: bool,
-    deny_unused_waivers: bool,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -44,11 +33,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         command: argv.first().cloned().unwrap_or_else(|| "help".into()),
         root: PathBuf::from("."),
         stats: false,
-        apply: false,
-        rule: None,
         format: "text".into(),
-        deny_fallback: false,
-        deny_unused_waivers: false,
     };
     let mut i = 1;
     while i < argv.len() {
@@ -61,9 +46,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 );
             }
             "--stats" => args.stats = true,
-            "--apply" => args.apply = true,
-            "--deny-fallback" => args.deny_fallback = true,
-            "--deny-unused-waivers" => args.deny_unused_waivers = true,
             "--format" => {
                 i += 1;
                 let f = argv
@@ -73,14 +55,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     return Err(format!("--format must be text|json|sarif, got {f:?}"));
                 }
                 args.format = f.clone();
-            }
-            "--rule" => {
-                i += 1;
-                args.rule = Some(
-                    argv.get(i)
-                        .ok_or_else(|| "--rule needs a rule id".to_string())?
-                        .clone(),
-                );
             }
             other => return Err(format!("unknown argument {other:?}")),
         }
@@ -101,7 +75,6 @@ fn main() -> ExitCode {
     match args.command.as_str() {
         "check" => run_check(&args),
         "parse" => run_parse(&args),
-        "fix" => run_fix(&args),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
             ExitCode::SUCCESS
@@ -130,12 +103,7 @@ fn run_check(args: &Args) -> ExitCode {
             }
             if args.stats {
                 println!("--- stats ---");
-                println!(
-                    "files scanned: {} ({} fully parsed, {} lexer fallback)",
-                    report.files_scanned,
-                    report.parsed_files,
-                    report.parse_fallbacks.len()
-                );
+                println!("files scanned: {}", report.files_scanned);
                 for (rule, (hits, waived)) in &report.per_rule {
                     println!(
                         "{rule}: {hits} hit(s), {waived} waived, {} reported",
@@ -147,14 +115,8 @@ fn run_check(args: &Args) -> ExitCode {
         }
     }
     // Health signals always go to stderr so they survive --format json.
-    for f in &report.parse_fallbacks {
-        eprintln!("udm-lint: parse fallback (lexer-only rules): {f}");
-    }
     for w in &report.unused_inline_waivers {
         eprintln!("udm-lint: unused inline waiver: {w}");
-    }
-    for w in &report.unused_toml_waivers {
-        eprintln!("udm-lint: unused lint.toml waiver: {w}");
     }
     let mut failed = false;
     if !report.diagnostics.is_empty() {
@@ -164,19 +126,10 @@ fn run_check(args: &Args) -> ExitCode {
         );
         failed = true;
     }
-    if args.deny_fallback && !report.parse_fallbacks.is_empty() {
+    if !report.unused_inline_waivers.is_empty() {
         eprintln!(
-            "udm-lint: {} file(s) degraded to lexer-only rules (--deny-fallback)",
-            report.parse_fallbacks.len()
-        );
-        failed = true;
-    }
-    if args.deny_unused_waivers
-        && (!report.unused_inline_waivers.is_empty() || !report.unused_toml_waivers.is_empty())
-    {
-        eprintln!(
-            "udm-lint: {} unused waiver(s) (--deny-unused-waivers)",
-            report.unused_inline_waivers.len() + report.unused_toml_waivers.len()
+            "udm-lint: {} unused waiver(s); delete stale allows",
+            report.unused_inline_waivers.len()
         );
         failed = true;
     }
@@ -195,84 +148,15 @@ fn run_check(args: &Args) -> ExitCode {
 
 fn run_parse(args: &Args) -> ExitCode {
     match udm_lint::engine::parse_smoke(&args.root) {
-        Ok((ok, fallbacks)) => {
-            for f in &fallbacks {
-                println!("fallback: {f}");
+        Ok((ok, unparsed)) => {
+            for f in &unparsed {
+                println!("unparsed: {f}");
             }
             println!(
-                "udm-lint parse: {} file(s) fully parsed, {} fallback(s)",
+                "udm-lint parse: {} file(s) fully parsed, {} unparsed",
                 ok,
-                fallbacks.len()
+                unparsed.len()
             );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn run_fix(args: &Args) -> ExitCode {
-    let rule = match args.rule.as_deref() {
-        Some(r) if SUPPORTED_FIX_RULES.contains(&r) => r.to_string(),
-        Some(other) => {
-            eprintln!(
-                "error: fix does not support {other}; supported rules: {}",
-                SUPPORTED_FIX_RULES.join(", ")
-            );
-            return ExitCode::from(2);
-        }
-        None => {
-            eprintln!(
-                "error: fix requires --rule (supported: {})",
-                SUPPORTED_FIX_RULES.join(", ")
-            );
-            return ExitCode::from(2);
-        }
-    };
-    let toml = match udm_lint::engine::load_lint_toml(&args.root) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let rewrites = match rule.as_str() {
-        "UDM002" => udm_lint::fix::fix_udm002(&args.root, args.apply, &toml),
-        _ => {
-            if args.apply {
-                eprintln!(
-                    "error: --apply is not supported for UDM010; the SAFETY \
-                     justification must be written by a human (stubs are shown dry-run)"
-                );
-                return ExitCode::from(2);
-            }
-            udm_lint::fix::fix_udm010(&args.root, &toml)
-        }
-    };
-    match rewrites {
-        Ok(rewrites) => {
-            for r in &rewrites {
-                if r.old.is_empty() {
-                    println!("{}:{}: insert `{}`", r.path, r.line, r.new.trim_end());
-                } else {
-                    println!("{}:{}: `{}` -> `{}`", r.path, r.line, r.old, r.new);
-                }
-            }
-            if args.apply {
-                println!("udm-lint: applied {} rewrite(s)", rewrites.len());
-            } else {
-                println!(
-                    "udm-lint: {} rewrite(s) planned (dry run{})",
-                    rewrites.len(),
-                    if rule == "UDM002" {
-                        "; pass --apply to write"
-                    } else {
-                        "; UDM010 stubs are never auto-applied"
-                    }
-                );
-            }
             ExitCode::SUCCESS
         }
         Err(e) => {

@@ -34,9 +34,9 @@ fn json_str_list(items: &[String]) -> String {
     format!("[{}]", quoted.join(","))
 }
 
-/// Renders the report as the `udm-lint` JSON document (schema v1):
-/// counts, per-rule stats, every unwaived diagnostic, and the waiver /
-/// parser health signals CI gates on.
+/// Renders the report as the `udm-lint` JSON document (schema v2):
+/// counts, per-rule stats, every unwaived diagnostic, and the unused
+/// waivers CI gates on.
 pub fn render_json(report: &CheckReport) -> String {
     let mut diags = Vec::new();
     for d in &report.diagnostics {
@@ -57,22 +57,18 @@ pub fn render_json(report: &CheckReport) -> String {
     }
     format!(
         concat!(
-            "{{\"tool\":\"udm-lint\",\"schema_version\":1,",
-            "\"files_scanned\":{},\"parsed\":{},",
-            "\"parse_fallbacks\":{},",
+            "{{\"tool\":\"udm-lint\",\"schema_version\":2,",
+            "\"files_scanned\":{},",
             "\"diagnostics\":[{}],",
             "\"waived\":{},",
             "\"per_rule\":{{{}}},",
-            "\"unused_waivers\":{{\"inline\":{},\"toml\":{}}}}}\n"
+            "\"unused_waivers\":{}}}\n"
         ),
         report.files_scanned,
-        report.parsed_files,
-        json_str_list(&report.parse_fallbacks),
         diags.join(","),
         report.waived,
         per_rule.join(","),
         json_str_list(&report.unused_inline_waivers),
-        json_str_list(&report.unused_toml_waivers),
     )
 }
 
@@ -128,20 +124,17 @@ mod tests {
     fn sample_report() -> CheckReport {
         let mut r = CheckReport {
             files_scanned: 3,
-            parsed_files: 2,
             waived: 1,
             ..CheckReport::default()
         };
         r.diagnostics.push(Diagnostic {
-            rule: "UDM001",
+            rule: "UDM002",
             path: "crates/kde/src/x.rs".into(),
             line: 7,
             message: "said \"no\"\nnewline".into(),
-            offset: 0,
         });
-        r.per_rule.insert("UDM001", (2, 1));
-        r.parse_fallbacks.push("a.rs: unbalanced group".into());
-        r.unused_inline_waivers.push("b.rs:3: allow(UDM002)".into());
+        r.per_rule.insert("UDM002", (2, 1));
+        r.unused_inline_waivers.push("b.rs:3: allow(UDM003)".into());
         r
     }
 
@@ -156,13 +149,11 @@ mod tests {
         let doc = render_json(&sample_report());
         assert!(doc.contains("\"tool\":\"udm-lint\""));
         assert!(doc.contains("\"files_scanned\":3"));
-        assert!(doc.contains("\"parsed\":2"));
-        assert!(doc.contains("\"rule\":\"UDM001\""));
+        assert!(doc.contains("\"rule\":\"UDM002\""));
         assert!(doc.contains("\"line\":7"));
         assert!(doc.contains("said \\\"no\\\"\\nnewline"));
-        assert!(doc.contains("\"UDM001\":{\"hits\":2,\"waived\":1,\"reported\":1}"));
-        assert!(doc.contains("a.rs: unbalanced group"));
-        assert!(doc.contains("b.rs:3: allow(UDM002)"));
+        assert!(doc.contains("\"UDM002\":{\"hits\":2,\"waived\":1,\"reported\":1}"));
+        assert!(doc.contains("\"unused_waivers\":[\"b.rs:3: allow(UDM003)\"]"));
         // Braces and brackets balance (no raw quotes break nesting).
         let opens = doc.matches('{').count();
         let closes = doc.matches('}').count();
@@ -176,7 +167,7 @@ mod tests {
         for (id, _) in RULE_INFO {
             assert!(doc.contains(&format!("\"id\":\"{id}\"")), "{id}");
         }
-        assert!(doc.contains("\"ruleId\":\"UDM001\""));
+        assert!(doc.contains("\"ruleId\":\"UDM002\""));
         assert!(doc.contains("\"startLine\":7"));
         assert!(doc.contains("\"uri\":\"crates/kde/src/x.rs\""));
     }

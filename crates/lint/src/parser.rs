@@ -6,8 +6,8 @@
 //! delimiter groups and closures. The parser is *total* — it never
 //! panics and consumes every token exactly once (unclassifiable tokens
 //! become `Node::Tok` leaves) — and records irregularities in
-//! [`Ast::errors`] instead of failing, so the engine can decide to use
-//! the lexer-only fallback per file.
+//! [`Ast::errors`] instead of failing, so the engine can name the file
+//! and the first error.
 
 use crate::ast::{
     Ast, Attr, Block, CfgPredicate, Closure, GroupKind, Item, ItemKind, Members, Node, Stmt,

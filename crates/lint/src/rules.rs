@@ -2,19 +2,16 @@
 //!
 //! | id | rule |
 //! |---|---|
-//! | UDM001 | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` in non-test library code |
 //! | UDM002 | no bare `==`/`!=` against float expressions outside test code |
 //! | UDM003 | `sqrt` of variance-like expressions must use `udm_core::num::clamped_sqrt` |
-//! | UDM004 | no lossy `as` casts in hot-path modules |
 //! | UDM005 | public estimator entry points must validate finite inputs |
 //! | UDM006 | `span!` guards must be bound to a named variable |
 //! | UDM007 | closures at parallel seams must not capture mutable shared state |
 //! | UDM008 | `fast-math`-gated items unreachable from default-feature code |
 //! | UDM009 | once-init closures must be deterministic |
-//! | UDM010 | every `unsafe` block needs an adjacent `// SAFETY:` comment |
 //!
-//! UDM001–UDM004, UDM006 and UDM010 are token rules (they also run on
-//! the lexer-only fallback path). UDM005, UDM007 and UDM009 live in
+//! UDM002, UDM003 and UDM006 are token rules (they scan the lexer's
+//! token stream). UDM005, UDM007 and UDM009 live in
 //! [`crate::astrules`]; UDM008 is the cross-file pass in
 //! [`crate::callgraph`].
 
@@ -24,7 +21,7 @@ use crate::lexer::{Lexed, Tok, TokKind};
 /// One lint finding.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Stable rule id (`UDM001` … `UDM006`).
+    /// Stable rule id (`UDM002` … `UDM009`).
     pub rule: &'static str,
     /// Root-relative path of the offending file.
     pub path: String,
@@ -32,22 +29,15 @@ pub struct Diagnostic {
     pub line: usize,
     /// Human-readable explanation.
     pub message: String,
-    /// Byte offset of the anchoring token (for waiver/fix mapping).
-    pub offset: usize,
 }
 
 /// All rule ids, in order.
-pub const ALL_RULES: [&str; 10] = [
-    "UDM001", "UDM002", "UDM003", "UDM004", "UDM005", "UDM006", "UDM007", "UDM008", "UDM009",
-    "UDM010",
+pub const ALL_RULES: [&str; 7] = [
+    "UDM002", "UDM003", "UDM005", "UDM006", "UDM007", "UDM008", "UDM009",
 ];
 
 /// One-line description per rule id (drives `--format json`/`sarif`).
-pub const RULE_INFO: [(&str, &str); 10] = [
-    (
-        "UDM001",
-        "no unwrap/expect/panic!/todo!/unimplemented! in non-test library code",
-    ),
+pub const RULE_INFO: [(&str, &str); 7] = [
     (
         "UDM002",
         "no bare ==/!= against float expressions outside test code",
@@ -56,7 +46,6 @@ pub const RULE_INFO: [(&str, &str); 10] = [
         "UDM003",
         "sqrt of variance-like expressions must use udm_core::num::clamped_sqrt",
     ),
-    ("UDM004", "no lossy `as` casts in hot-path modules"),
     (
         "UDM005",
         "public estimator entry points must validate finite inputs",
@@ -74,38 +63,16 @@ pub const RULE_INFO: [(&str, &str); 10] = [
         "UDM009",
         "OnceLock/OnceCell/Lazy init closures must be deterministic",
     ),
-    (
-        "UDM010",
-        "every unsafe block requires an adjacent // SAFETY: comment",
-    ),
 ];
 
-/// Runs every *token* rule over one lexed file. With `ast_rules_active`
-/// the UDM005 token implementation is skipped (the scope-aware port in
-/// [`crate::astrules`] replaces it); on the lexer fallback path it runs
-/// here so the rule never goes dark.
-pub fn run_token_rules(
-    lexed: &Lexed,
-    ctx: &FileContext,
-    ast_rules_active: bool,
-) -> Vec<Diagnostic> {
+/// Runs every *token* rule over one lexed file.
+pub fn run_token_rules(lexed: &Lexed, ctx: &FileContext) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    udm001_no_panics(lexed, ctx, &mut out);
     udm002_float_eq(lexed, ctx, &mut out);
     udm003_variance_sqrt(lexed, ctx, &mut out);
-    udm004_lossy_casts(lexed, ctx, &mut out);
-    if !ast_rules_active {
-        udm005_entry_validation(lexed, ctx, &mut out);
-    }
     udm006_span_binding(lexed, ctx, &mut out);
-    udm010_unsafe_safety_comment(lexed, ctx, &mut out);
     out.sort_by(|a, b| a.line.cmp(&b.line).then(a.rule.cmp(b.rule)));
     out
-}
-
-/// Runs every token rule (legacy entry point, UDM005 included).
-pub fn run_all(lexed: &Lexed, ctx: &FileContext) -> Vec<Diagnostic> {
-    run_token_rules(lexed, ctx, false)
 }
 
 fn diag(
@@ -120,48 +87,7 @@ fn diag(
         path: ctx.rel_path.clone(),
         line: tok.line,
         message,
-        offset: tok.start,
     });
-}
-
-/// UDM001: panicking constructs in non-test code of library crates.
-fn udm001_no_panics(lexed: &Lexed, ctx: &FileContext, out: &mut Vec<Diagnostic>) {
-    if !ctx.is_library {
-        return;
-    }
-    let toks = &lexed.toks;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || ctx.in_test(t.start) {
-            continue;
-        }
-        let prev_dot = i > 0 && toks[i - 1].is_punct(".");
-        let next = toks.get(i + 1);
-        match t.text.as_str() {
-            "unwrap" | "expect" if prev_dot && next.is_some_and(|n| n.is_punct("(")) => {
-                diag(
-                    out,
-                    "UDM001",
-                    ctx,
-                    t,
-                    format!(
-                        ".{}() in non-test library code; return a typed Result \
-                         (or waive with an invariant comment)",
-                        t.text
-                    ),
-                );
-            }
-            "panic" | "todo" | "unimplemented" if next.is_some_and(|n| n.is_punct("!")) => {
-                diag(
-                    out,
-                    "UDM001",
-                    ctx,
-                    t,
-                    format!("{}! in non-test library code; return a typed error", t.text),
-                );
-            }
-            _ => {}
-        }
-    }
 }
 
 /// Tokens that terminate an operand scan at depth 0.
@@ -371,171 +297,6 @@ fn udm003_variance_sqrt(lexed: &Lexed, ctx: &FileContext, out: &mut Vec<Diagnost
     }
 }
 
-/// Numeric cast targets that can silently lose information from the
-/// workspace's `f64`/`u64`/`usize` quantities.
-fn is_lossy_cast_target(name: &str) -> bool {
-    matches!(
-        name,
-        "f64"
-            | "f32"
-            | "usize"
-            | "isize"
-            | "u64"
-            | "i64"
-            | "u32"
-            | "i32"
-            | "u16"
-            | "i16"
-            | "u8"
-            | "i8"
-    )
-}
-
-/// UDM004: `as` casts to numeric types in hot-path modules. `u64 as
-/// f64` silently rounds above 2^53; `f64 as usize` saturates — the
-/// hot paths must use the checked helpers in `udm_core::num`.
-fn udm004_lossy_casts(lexed: &Lexed, ctx: &FileContext, out: &mut Vec<Diagnostic>) {
-    if !ctx.is_hot_path {
-        return;
-    }
-    let toks = &lexed.toks;
-    for (i, t) in toks.iter().enumerate() {
-        if !t.is_ident("as") || ctx.in_test(t.start) {
-            continue;
-        }
-        // `as` in a use statement (`use x as y`) has a non-type RHS; only
-        // numeric targets are flagged, which excludes those renames.
-        if let Some(next) = toks.get(i + 1) {
-            if next.kind == TokKind::Ident && is_lossy_cast_target(&next.text) {
-                diag(
-                    out,
-                    "UDM004",
-                    ctx,
-                    t,
-                    format!(
-                        "`as {}` cast in a hot-path module; use the checked \
-                         conversions in udm_core::num (f64_from_count, \
-                         f64_from_usize, usize::try_from)",
-                        next.text
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// Guard identifiers that count as input validation for UDM005.
-const GUARD_IDENTS: [&str; 6] = [
-    "ensure_finite_slice",
-    "ensure_finite_slice_opt",
-    "ensure_finite",
-    "ensure_non_negative",
-    "debug_assert_finite",
-    "is_finite",
-];
-
-/// UDM005: `pub fn density*` / `pub fn classify*` — and the serve-layer
-/// request handlers `pub fn handle_*density*` / `pub fn handle_*classify*`
-/// — taking `f64` data must validate finiteness or delegate to an entry
-/// point that does.
-fn udm005_entry_validation(lexed: &Lexed, ctx: &FileContext, out: &mut Vec<Diagnostic>) {
-    if !ctx.is_library {
-        return;
-    }
-    let toks = &lexed.toks;
-    let mut i = 0;
-    while i + 2 < toks.len() {
-        // Bare `pub fn` only: `pub(crate)` etc. are not public API.
-        if !(toks[i].is_ident("pub") && toks[i + 1].is_ident("fn")) {
-            i += 1;
-            continue;
-        }
-        let name_tok = &toks[i + 2];
-        let name = name_tok.text.clone();
-        i += 3;
-        let is_entry = name.starts_with("density")
-            || name.starts_with("classify")
-            || (name.starts_with("handle_")
-                && (name.contains("density") || name.contains("classify")));
-        if !is_entry || ctx.in_test(name_tok.start) {
-            continue;
-        }
-        // Parameter list: from the next `(` to its match.
-        let Some(open) = (i..toks.len()).find(|&k| toks[k].is_punct("(")) else {
-            continue;
-        };
-        let mut depth = 0i32;
-        let mut close = open;
-        for (k, t) in toks.iter().enumerate().skip(open) {
-            if t.is_punct("(") {
-                depth += 1;
-            } else if t.is_punct(")") {
-                depth -= 1;
-                if depth == 0 {
-                    close = k;
-                    break;
-                }
-            }
-        }
-        let takes_floats = toks[open..=close]
-            .iter()
-            .any(|t| t.is_ident("f64") || t.is_ident("UncertainPoint"));
-        if !takes_floats {
-            continue;
-        }
-        // Body: next `{` (skipping the return type) to its match; a `;`
-        // first means a trait signature without a body.
-        let mut k = close + 1;
-        while k < toks.len() && !toks[k].is_punct("{") && !toks[k].is_punct(";") {
-            k += 1;
-        }
-        if k >= toks.len() || toks[k].is_punct(";") {
-            continue;
-        }
-        let body_open = k;
-        let mut depth = 0i32;
-        let mut body_close = body_open;
-        for (k, t) in toks.iter().enumerate().skip(body_open) {
-            if t.is_punct("{") {
-                depth += 1;
-            } else if t.is_punct("}") {
-                depth -= 1;
-                if depth == 0 {
-                    body_close = k;
-                    break;
-                }
-            }
-        }
-        let body = &toks[body_open..=body_close];
-        let validates = body
-            .iter()
-            .any(|t| t.kind == TokKind::Ident && GUARD_IDENTS.contains(&t.text.as_str()));
-        // Delegation: calling another density*/classify*/log_scores entry
-        // point passes the obligation down to it.
-        let delegates = body.iter().any(|t| {
-            t.kind == TokKind::Ident
-                && t.text != name
-                && (t.text.starts_with("density")
-                    || t.text.starts_with("classify")
-                    || t.text == "log_scores")
-        });
-        if !validates && !delegates {
-            out.push(Diagnostic {
-                rule: "UDM005",
-                path: ctx.rel_path.clone(),
-                line: name_tok.line,
-                message: format!(
-                    "public estimator entry point `{name}` takes float input \
-                     but neither validates finiteness (udm_core::num::ensure_finite_slice) \
-                     nor delegates to a validating entry point"
-                ),
-                offset: name_tok.start,
-            });
-        }
-        i = body_close + 1;
-    }
-}
-
 /// UDM006: `span!` guards must be bound to a named variable. Both
 /// `let _ = span!(..)` and a bare `span!(..);` statement drop the RAII
 /// guard at once, closing the span before the work it was meant to
@@ -586,95 +347,20 @@ fn udm006_span_binding(lexed: &Lexed, ctx: &FileContext, out: &mut Vec<Diagnosti
     }
 }
 
-/// UDM010: every `unsafe { .. }` block needs a `// SAFETY:` comment on
-/// the same line or in the contiguous comment run directly above it.
-/// `unsafe fn` / `unsafe impl` / `unsafe trait` declare an obligation
-/// rather than discharging one and are exempt; this is a token rule so
-/// it keeps working on the lexer fallback path.
-fn udm010_unsafe_safety_comment(lexed: &Lexed, ctx: &FileContext, out: &mut Vec<Diagnostic>) {
-    let toks = &lexed.toks;
-    for (i, t) in toks.iter().enumerate() {
-        if !t.is_ident("unsafe") || ctx.in_test(t.start) {
-            continue;
-        }
-        // Only `unsafe {` blocks; `unsafe fn`/`impl`/`trait` are exempt.
-        if !toks.get(i + 1).is_some_and(|n| n.is_punct("{")) {
-            continue;
-        }
-        if has_adjacent_safety_comment(lexed, t.line) {
-            continue;
-        }
-        diag(
-            out,
-            "UDM010",
-            ctx,
-            t,
-            "unsafe block without an adjacent `// SAFETY:` comment; justify \
-             why the invariants hold (or hoist the block behind a safe API)"
-                .to_string(),
-        );
-    }
-}
-
-/// True when a comment containing `SAFETY:` sits on `line` itself or in
-/// the unbroken run of comment lines directly above it.
-fn has_adjacent_safety_comment(lexed: &Lexed, line: usize) -> bool {
-    let has_safety_on = |l: usize| {
-        lexed
-            .comments
-            .iter()
-            .any(|c| c.line == l && c.text.contains("SAFETY:"))
-    };
-    let has_comment_on = |l: usize| lexed.comments.iter().any(|c| c.line == l);
-    if has_safety_on(line) {
-        return true;
-    }
-    let mut l = line;
-    while l > 1 && has_comment_on(l - 1) {
-        l -= 1;
-        if has_safety_on(l) {
-            return true;
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
+    use crate::parser::parse;
 
     fn lint(src: &str) -> Vec<Diagnostic> {
         let l = lex(src);
-        let ctx = FileContext::new("fixture.rs", &l, true);
-        run_all(&l, &ctx)
+        let ctx = FileContext::new("fixture.rs", &l, &parse(&l), true);
+        run_token_rules(&l, &ctx)
     }
 
     fn rules_of(ds: &[Diagnostic]) -> Vec<&'static str> {
         ds.iter().map(|d| d.rule).collect()
-    }
-
-    #[test]
-    fn udm001_catches_all_panicking_forms() {
-        let ds = lint(
-            "fn f() { x.unwrap(); y.expect(\"m\"); panic!(\"n\"); todo!(); unimplemented!(); }",
-        );
-        assert_eq!(ds.iter().filter(|d| d.rule == "UDM001").count(), 5);
-    }
-
-    #[test]
-    fn udm001_ignores_unwrap_or_variants() {
-        let ds =
-            lint("fn f() { x.unwrap_or(0.0); y.unwrap_or_else(|| 1); z.unwrap_or_default(); }");
-        assert!(!rules_of(&ds).contains(&"UDM001"));
-    }
-
-    #[test]
-    fn udm001_skips_test_modules() {
-        let src = "#[cfg(test)]\nmod tests { fn t() { x.unwrap(); } }";
-        let l = lex(src);
-        let ctx = FileContext::new("crates/core/src/f.rs", &l, false);
-        assert!(run_all(&l, &ctx).is_empty());
     }
 
     #[test]
@@ -722,42 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn udm004_flags_numeric_casts() {
-        let ds = lint("fn f(n: u64) -> f64 { n as f64 }");
-        assert!(rules_of(&ds).contains(&"UDM004"));
-        let ds = lint("fn f(x: f64) -> usize { x as usize }");
-        assert!(rules_of(&ds).contains(&"UDM004"));
-    }
-
-    #[test]
-    fn udm004_ignores_use_renames_and_non_hot_files() {
-        let ds = lint("use std::io::Result as IoResult;");
-        assert!(!rules_of(&ds).contains(&"UDM004"));
-        let src = "fn f(n: u64) -> f64 { n as f64 }";
-        let l = lex(src);
-        let ctx = FileContext::new("crates/kde/src/bandwidth.rs", &l, false);
-        assert!(!rules_of(&run_all(&l, &ctx)).contains(&"UDM004"));
-    }
-
-    #[test]
-    fn udm005_flags_unvalidated_entry_point() {
-        let src = "pub fn density(&self, x: &[f64]) -> f64 { self.sum(x) }";
-        assert!(rules_of(&lint(src)).contains(&"UDM005"));
-    }
-
-    #[test]
-    fn udm005_accepts_guards_and_delegation() {
-        for src in [
-            "pub fn density(&self, x: &[f64]) -> f64 { ensure_finite_slice(\"q\", x)?; self.sum(x) }",
-            "pub fn density(&self, x: &[f64]) -> f64 { self.density_subspace(x, s) }",
-            "pub fn classify(&self, x: &UncertainPoint) -> L { self.log_scores(x) }",
-            "pub fn density_meta(&self) -> usize { 3 }",
-        ] {
-            assert!(!rules_of(&lint(src)).contains(&"UDM005"), "{src}");
-        }
-    }
-
-    #[test]
     fn udm006_flags_discarded_span_guards() {
         for src in [
             "fn f() { let _ = udm_observe::span!(\"fit\"); work(); }",
@@ -775,29 +425,6 @@ mod tests {
         assert!(!rules_of(&ds).contains(&"UDM002"));
         let ds = lint("fn f(x: f64) -> bool { 0.0 != x.fract() }");
         assert!(!rules_of(&ds).contains(&"UDM002"));
-    }
-
-    #[test]
-    fn udm010_flags_uncommented_unsafe_blocks() {
-        for src in [
-            "fn f(p: *mut f64) { unsafe { *p = 1.0; } }",
-            "fn f(p: *mut f64) {\n    // fast path\n    unsafe { *p = 1.0; }\n}",
-        ] {
-            assert!(rules_of(&lint(src)).contains(&"UDM010"), "{src}");
-        }
-    }
-
-    #[test]
-    fn udm010_accepts_safety_comments_and_unsafe_items() {
-        for src in [
-            "fn f(p: *mut f64) {\n    // SAFETY: p is valid for writes per the caller contract.\n    unsafe { *p = 1.0; }\n}",
-            "fn f(p: *mut f64) { unsafe { *p = 1.0; } // SAFETY: caller contract\n}",
-            "fn f(p: *mut f64) {\n    // SAFETY: p valid,\n    // and aligned.\n    unsafe { *p = 1.0; }\n}",
-            "unsafe fn raw(p: *mut f64) {}",
-            "unsafe impl Send for S {}",
-        ] {
-            assert!(!rules_of(&lint(src)).contains(&"UDM010"), "{src}");
-        }
     }
 
     #[test]

@@ -27,6 +27,8 @@
 //! the mixture's parts, so a malformed model is an error, never a panic
 //! or a point-mass kernel.
 
+#![cfg_attr(not(test), warn(clippy::as_conversions))]
+
 use crate::feature::MicroCluster;
 use crate::pseudo::PseudoPoint;
 use std::sync::OnceLock;

@@ -14,6 +14,8 @@
 //! toward centroid 1 should join centroid 1 even if centroid 2 is closer
 //! in raw Euclidean terms).
 
+#![cfg_attr(not(test), warn(clippy::as_conversions))]
+
 use serde::{Deserialize, Serialize};
 use udm_core::UncertainPoint;
 

@@ -1,5 +1,7 @@
 //! The micro-cluster sufficient statistics of Definition 1.
 
+#![cfg_attr(not(test), warn(clippy::as_conversions))]
+
 use serde::{Deserialize, Serialize};
 use udm_core::num::{clamp_non_negative, f64_from_count};
 use udm_core::{Result, UdmError, UncertainPoint};
@@ -43,8 +45,11 @@ impl MicroCluster {
     /// Creates a cluster seeded with a single point.
     pub fn from_point(point: &UncertainPoint) -> Self {
         let mut c = Self::new(point.dim());
+        #[expect(
+            clippy::expect_used,
+            reason = "cluster is sized from the point, dims cannot mismatch"
+        )]
         c.insert(point)
-            // udm-lint: allow(UDM001) cluster is sized from the point, dims cannot mismatch
             .expect("dimensionality matches by construction");
         c
     }

@@ -53,6 +53,16 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod backend;
 pub mod checkpoint;
