@@ -359,6 +359,18 @@ mod tests {
         run_token_rules(&l, &ctx)
     }
 
+    /// Token and AST rules together, as the engine runs them on a file
+    /// that parses.
+    fn lint_file(src: &str) -> Vec<Diagnostic> {
+        let l = lex(src);
+        let ast = parse(&l);
+        assert!(ast.errors.is_empty() && ast.covers_all_tokens(), "{src}");
+        let ctx = FileContext::new("fixture.rs", &l, &ast, true);
+        let mut ds = run_token_rules(&l, &ctx);
+        ds.extend(crate::astrules::run_ast_rules(&l, &ast, &ctx));
+        ds
+    }
+
     fn rules_of(ds: &[Diagnostic]) -> Vec<&'static str> {
         ds.iter().map(|d| d.rule).collect()
     }
@@ -404,6 +416,24 @@ mod tests {
             "fn f(h: f64, psi: f64) -> f64 { (h * h + psi * psi).sqrt() }",
         ] {
             assert!(!rules_of(&lint(src)).contains(&"UDM003"), "{src}");
+        }
+    }
+
+    #[test]
+    fn udm005_flags_unvalidated_entry_point() {
+        let src = "pub fn density(&self, x: &[f64]) -> f64 { self.sum(x) }";
+        assert!(rules_of(&lint_file(src)).contains(&"UDM005"));
+    }
+
+    #[test]
+    fn udm005_accepts_guards_and_delegation() {
+        for src in [
+            "pub fn density(&self, x: &[f64]) -> f64 { ensure_finite_slice(\"q\", x)?; self.sum(x) }",
+            "pub fn density(&self, x: &[f64]) -> f64 { self.density_subspace(x, s) }",
+            "pub fn classify(&self, x: &UncertainPoint) -> L { self.log_scores(x) }",
+            "pub fn density_meta(&self) -> usize { 3 }",
+        ] {
+            assert!(!rules_of(&lint_file(src)).contains(&"UDM005"), "{src}");
         }
     }
 

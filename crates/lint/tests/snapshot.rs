@@ -1,6 +1,7 @@
 //! Engine-level snapshot: the fixture corpus must produce exactly the
 //! rule/path/line triples pinned in `fixtures/EXPECTED.txt`.
 
+use std::collections::BTreeSet;
 use std::path::Path;
 
 fn expected() -> Vec<String> {
@@ -50,4 +51,19 @@ fn every_new_rule_has_firing_and_nonfiring_coverage() {
             "{file}: want >= 2 annotated non-firing cases, got {nonfiring}"
         );
     }
+}
+
+/// No fixture falls back from the full parse: `check` fails on the first
+/// file that does not parse, so a report that covers every fixture on
+/// disk means each one ran the token and AST rules.
+#[test]
+fn fixture_corpus_has_no_parse_fallbacks() {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
+    let report = udm_lint::check(&fixtures).expect("fixture check runs");
+    let on_disk = udm_lint::engine::collect_rust_files(&fixtures)
+        .expect("fixture walk")
+        .len();
+    assert_eq!(report.files_scanned, on_disk);
+    let paths: BTreeSet<&str> = report.diagnostics.iter().map(|d| d.path.as_str()).collect();
+    assert!(!paths.contains("clean.rs"));
 }
