@@ -1,16 +1,17 @@
 //! Naive per-subspace evaluation vs the factorized kernel-column cache
 //! on the roll-up's access pattern (many subspace densities of one test
-//! point), plus the rayon test-point parallelism on top.
+//! point).
 //!
-//! Three evaluation strategies over the same subspace workload:
+//! Two evaluation strategies over the same subspace workload:
 //!
 //! * `rollup_naive`  — one `density_subspace_with_error` call per
 //!   subspace: every call re-evaluates the per-dimension kernels
 //!   (`O(rows·|S|)` `exp`s each);
 //! * `rollup_cached` — one `kernel_columns` build per query
-//!   (`O(rows·d)` `exp`s total), then pure multiply-adds per subspace;
-//! * `rollup_cached_rayon` — the cached strategy fanned out over a batch
-//!   of test points with rayon.
+//!   (`O(rows·d)` `exp`s total), then pure multiply-adds per subspace.
+//!
+//! The production classifier (cached oracle inside) is timed on top:
+//! one point (`classify_detailed`) and `evaluate` over 64 points.
 //!
 //! The subspace workload is the Apriori lattice's levels 1–4 restricted
 //! to contiguous windows (`4d − 6` subspaces, total cardinality
@@ -22,9 +23,8 @@
 //! `results/BENCH_subspace_cache.json`.
 
 use criterion::{black_box, Criterion};
-use rayon::prelude::*;
 use std::time::Duration;
-use udm_classify::{evaluate, evaluate_parallel, ClassifierConfig, DensityClassifier};
+use udm_classify::{evaluate, ClassifierConfig, DensityClassifier};
 use udm_core::{Subspace, UncertainDataset};
 use udm_data::{ErrorModel, GaussianClassSpec, MixtureGenerator};
 use udm_kde::KdeConfig;
@@ -134,20 +134,8 @@ fn bench_subspace_cache(c: &mut Criterion) {
             b.iter(|| cached_oracle_sweep(&kdes, black_box(&x), qe, &subs))
         });
 
-        let batch: Vec<&[f64]> = (0..16.min(data.len()))
-            .map(|i| data.point(i).values())
-            .collect();
-        group.bench_function(format!("rollup_cached_rayon/{tag}"), |b| {
-            b.iter(|| {
-                batch
-                    .par_iter()
-                    .map(|x| cached_oracle_sweep(&kdes, x, None, &subs))
-                    .sum::<f64>()
-            })
-        });
-
         // End-to-end: the production classifier (cached oracle inside),
-        // single-point latency and sequential vs rayon harness.
+        // single-point latency and the evaluation harness.
         let model = DensityClassifier::fit(&data, ClassifierConfig::error_adjusted(80)).unwrap();
         group.bench_function(format!("classify_detailed/{tag}"), |b| {
             b.iter(|| model.classify_detailed(black_box(&probe)).unwrap().label)
@@ -158,16 +146,8 @@ fn bench_subspace_cache(c: &mut Criterion) {
                 .collect(),
         )
         .unwrap();
-        group.bench_function(format!("evaluate_seq/{tag}"), |b| {
+        group.bench_function(format!("evaluate/{tag}"), |b| {
             b.iter(|| evaluate(&model, black_box(&subset)).unwrap().correct)
-        });
-        let threads = rayon::current_num_threads().max(2);
-        group.bench_function(format!("evaluate_par/{tag}"), |b| {
-            b.iter(|| {
-                evaluate_parallel(&model, black_box(&subset), threads)
-                    .unwrap()
-                    .correct
-            })
         });
     }
     group.finish();
@@ -183,7 +163,6 @@ struct BenchEntry {
 struct SpeedupEntry {
     config: String,
     rollup_naive_over_cached: f64,
-    evaluate_seq_over_par: f64,
 }
 
 #[derive(serde::Serialize)]
@@ -207,8 +186,6 @@ fn dump_json(c: &Criterion) {
             config: tag.clone(),
             rollup_naive_over_cached: seconds(&format!("rollup_naive/{tag}"))
                 / seconds(&format!("rollup_cached/{tag}")),
-            evaluate_seq_over_par: seconds(&format!("evaluate_seq/{tag}"))
-                / seconds(&format!("evaluate_par/{tag}")),
         });
     }
     let report = Report {
@@ -235,8 +212,8 @@ fn dump_json(c: &Criterion) {
     println!("wrote {}", file.display());
     for s in &report.speedups {
         println!(
-            "{}: rollup naive/cached {:.2}x, eval seq/par {:.2}x",
-            s.config, s.rollup_naive_over_cached, s.evaluate_seq_over_par
+            "{}: rollup naive/cached {:.2}x",
+            s.config, s.rollup_naive_over_cached
         );
     }
 }

@@ -1,6 +1,5 @@
 //! Evaluation harness: accuracy, confusion matrices, timing, parallelism.
 
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 use udm_core::{ClassLabel, Result, UdmError, UncertainDataset, UncertainPoint};
@@ -12,7 +11,7 @@ pub trait Classifier: Sync {
 }
 
 /// Outcome of evaluating a classifier on a labelled test set.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EvalReport {
     /// Number of labelled test points evaluated.
     pub n: usize,
@@ -20,7 +19,9 @@ pub struct EvalReport {
     pub correct: usize,
     /// Confusion counts keyed by `(actual, predicted)`.
     pub confusion: BTreeMap<(ClassLabel, ClassLabel), usize>,
-    /// Wall-clock time spent classifying (excludes training).
+    /// Wall-clock time spent classifying (excludes training). When
+    /// [`evaluate`] splits the test set over several threads, this is
+    /// the wall time of the whole call, not the sum over threads.
     pub elapsed: Duration,
 }
 
@@ -34,7 +35,9 @@ impl EvalReport {
         }
     }
 
-    /// Mean classification time per test point, in seconds.
+    /// Wall time per test point, in seconds: [`Self::elapsed`] over
+    /// [`Self::n`]. With the test set split over several threads this
+    /// is less than the time one classification takes.
     pub fn seconds_per_example(&self) -> f64 {
         if self.n == 0 {
             0.0
@@ -75,16 +78,46 @@ impl EvalReport {
         }
     }
 
-    /// Macro-averaged F1 over every class that appears as an actual label.
-    pub fn macro_f1(&self) -> f64 {
+    /// Every class that appears as an actual label, in order.
+    fn actual_labels(&self) -> Vec<ClassLabel> {
         let mut labels: Vec<ClassLabel> =
             self.confusion.keys().map(|&(actual, _)| actual).collect();
-        labels.sort();
         labels.dedup();
+        labels
+    }
+
+    /// Mean of `per_label` over the actual labels; 0 when there are none.
+    fn mean_over_actual(&self, per_label: impl Fn(ClassLabel) -> f64) -> f64 {
+        let labels = self.actual_labels();
         if labels.is_empty() {
             return 0.0;
         }
-        labels.iter().map(|&l| self.f1(l)).sum::<f64>() / labels.len() as f64
+        labels.iter().map(|&l| per_label(l)).sum::<f64>() / labels.len() as f64
+    }
+
+    /// Macro-averaged F1 over every class that appears as an actual label.
+    pub fn macro_f1(&self) -> f64 {
+        self.mean_over_actual(|l| self.f1(l))
+    }
+
+    /// Balanced accuracy: the mean recall over the actual labels. A
+    /// classifier that always answers one label scores `1 / classes`
+    /// here, whatever the class priors.
+    pub fn balanced_accuracy(&self) -> f64 {
+        self.mean_over_actual(|l| self.recall(l))
+    }
+
+    /// Share of all predictions that go to the most-predicted label; 1.0
+    /// for a classifier that always answers the same label.
+    pub fn majority_share(&self) -> f64 {
+        let mut predicted: BTreeMap<ClassLabel, usize> = BTreeMap::new();
+        for (&(_, label), &count) in &self.confusion {
+            *predicted.entry(label).or_insert(0) += count;
+        }
+        match predicted.values().max() {
+            Some(&top) if self.n > 0 => top as f64 / self.n as f64,
+            _ => 0.0,
+        }
     }
 
     /// Per-class recall: correct predictions of a class over its support.
@@ -111,16 +144,16 @@ impl std::fmt::Display for EvalReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "accuracy {:.4} over {} points ({:.3e} s/example, macro-F1 {:.4})",
+            "accuracy {:.4} over {} points ({:.3e} s wall/example, macro-F1 {:.4}, \
+             balanced accuracy {:.4}, majority share {:.4})",
             self.accuracy(),
             self.n,
             self.seconds_per_example(),
-            self.macro_f1()
+            self.macro_f1(),
+            self.balanced_accuracy(),
+            self.majority_share()
         )?;
-        let mut labels: Vec<ClassLabel> = self.confusion.keys().map(|&(a, _)| a).collect();
-        labels.sort();
-        labels.dedup();
-        for l in labels {
+        for l in self.actual_labels() {
             writeln!(
                 f,
                 "  {l}: recall {:.4}, precision {:.4}",
@@ -132,98 +165,80 @@ impl std::fmt::Display for EvalReport {
     }
 }
 
-/// Evaluates a classifier sequentially over the labelled points of `test`.
+/// Test sets below this many points are evaluated on the calling
+/// thread. Measured on the perf ledger (2-core host): splitting
+/// `wide_batch`'s 4-point `evaluate` calls over a second thread raised
+/// that workload's peak RSS by 22–27%, while the 1000-point chunks of
+/// `cover_batch` gained throughput either way.
+const PARALLEL_MIN_POINTS: usize = 32;
+
+/// Evaluates a classifier over the labelled points of `test`.
+///
+/// From 32 points up, on a host with more than one core, the points
+/// are split into [`std::thread::available_parallelism`] contiguous
+/// chunks. The first chunk runs on the calling thread and the rest on
+/// scoped threads; the chunk tallies merge in chunk order, so the
+/// counts equal the sequential loop's for any deterministic classifier
+/// and only `elapsed` depends on the split.
 ///
 /// # Errors
 ///
 /// [`UdmError::EmptyDataset`] if `test` contains no labelled point;
-/// classification errors propagate.
+/// otherwise the first classification error in dataset order.
+///
+/// # Panics
+///
+/// A panic of `model.classify` on any thread is re-raised here.
 pub fn evaluate<C: Classifier>(model: &C, test: &UncertainDataset) -> Result<EvalReport> {
     let start = Instant::now();
-    let mut n = 0;
-    let mut correct = 0;
-    let mut confusion: BTreeMap<(ClassLabel, ClassLabel), usize> = BTreeMap::new();
-    for p in test.iter() {
-        let Some(actual) = p.label() else { continue };
-        let predicted = model.classify(p)?;
-        n += 1;
-        if predicted == actual {
-            correct += 1;
+    let points = test.points();
+    let threads = if points.len() < PARALLEL_MIN_POINTS {
+        1
+    } else {
+        std::thread::available_parallelism().map_or(1, usize::from)
+    };
+    let mut chunks = points.chunks(points.len().div_ceil(threads).max(1));
+    let first = chunks.next().unwrap_or_default();
+    let tallies = std::thread::scope(|s| {
+        let workers: Vec<_> = chunks.map(|c| s.spawn(move || tally(model, c))).collect();
+        let mut tallies = vec![tally(model, first)];
+        for worker in workers {
+            tallies.push(
+                worker
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+            );
         }
-        *confusion.entry((actual, predicted)).or_insert(0) += 1;
+        tallies
+    });
+    let mut report = EvalReport::default();
+    for part in tallies {
+        let part = part?;
+        report.n += part.n;
+        report.correct += part.correct;
+        for (key, count) in part.confusion {
+            *report.confusion.entry(key).or_insert(0) += count;
+        }
     }
-    if n == 0 {
+    if report.n == 0 {
         return Err(UdmError::EmptyDataset);
     }
-    Ok(EvalReport {
-        n,
-        correct,
-        confusion,
-        elapsed: start.elapsed(),
-    })
+    report.elapsed = start.elapsed();
+    Ok(report)
 }
 
-/// Evaluates a classifier in parallel with rayon, chunking the test set
-/// by index (`threads` sets the chunk count) and merging the partial
-/// reports in chunk order.
-///
-/// Produces the same counts as [`evaluate`] for any deterministic
-/// classifier; only `elapsed` (wall-clock) differs. Batches below
-/// [`crate::batch::PAR_CROSSOVER_POINTS`] run sequentially — rayon's
-/// fork/join overhead is not amortized there, so the guard keeps the
-/// parallel entry point from ever losing to [`evaluate`] on small
-/// test sets.
-pub fn evaluate_parallel<C: Classifier>(
-    model: &C,
-    test: &UncertainDataset,
-    threads: usize,
-) -> Result<EvalReport> {
-    if threads <= 1 || test.len() < crate::batch::PAR_CROSSOVER_POINTS {
-        return evaluate(model, test);
+/// Classifies the labelled points of one chunk in order and counts the
+/// outcomes; `elapsed` stays zero.
+fn tally<C: Classifier>(model: &C, points: &[UncertainPoint]) -> Result<EvalReport> {
+    let mut report = EvalReport::default();
+    for p in points {
+        let Some(actual) = p.label() else { continue };
+        let predicted = model.classify(p)?;
+        report.n += 1;
+        report.correct += usize::from(predicted == actual);
+        *report.confusion.entry((actual, predicted)).or_insert(0) += 1;
     }
-    let start = Instant::now();
-    let points = test.points();
-    let chunk = points.len().div_ceil(threads).max(1);
-    type Partial = (usize, usize, BTreeMap<(ClassLabel, ClassLabel), usize>);
-    let partials: Vec<Result<Partial>> = points
-        .par_chunks(chunk)
-        .map(|slice| {
-            let mut n = 0;
-            let mut correct = 0;
-            let mut confusion = BTreeMap::new();
-            for p in slice {
-                let Some(actual) = p.label() else { continue };
-                let predicted = model.classify(p)?;
-                n += 1;
-                if predicted == actual {
-                    correct += 1;
-                }
-                *confusion.entry((actual, predicted)).or_insert(0) += 1;
-            }
-            Ok((n, correct, confusion))
-        })
-        .collect();
-
-    let mut n = 0;
-    let mut correct = 0;
-    let mut confusion: BTreeMap<(ClassLabel, ClassLabel), usize> = BTreeMap::new();
-    for partial in partials {
-        let (pn, pc, pconf) = partial?;
-        n += pn;
-        correct += pc;
-        for (k, v) in pconf {
-            *confusion.entry(k).or_insert(0) += v;
-        }
-    }
-    if n == 0 {
-        return Err(UdmError::EmptyDataset);
-    }
-    Ok(EvalReport {
-        n,
-        correct,
-        confusion,
-        elapsed: start.elapsed(),
-    })
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -312,23 +327,140 @@ mod tests {
         assert!(evaluate(&SignClassifier, &d).is_err());
     }
 
+    /// `test_set`'s first `n` points (wrapping around), every seventh
+    /// one unlabelled.
+    fn sized_set(n: usize) -> UncertainDataset {
+        let base = test_set();
+        let points = (0..n)
+            .map(|i| {
+                let p = base.point(i % base.len()).clone();
+                if i % 7 == 3 {
+                    UncertainPoint::exact(p.values().to_vec()).unwrap()
+                } else {
+                    p
+                }
+            })
+            .collect();
+        UncertainDataset::from_points(points).unwrap()
+    }
+
     #[test]
     fn parallel_matches_sequential() {
-        let d = test_set();
-        let seq = evaluate(&SignClassifier, &d).unwrap();
-        for threads in [2, 3, 8, 200] {
-            let par = evaluate_parallel(&SignClassifier, &d, threads).unwrap();
-            assert_eq!(par.n, seq.n);
-            assert_eq!(par.correct, seq.correct);
-            assert_eq!(par.confusion, seq.confusion);
+        for n in [1, 31, 32, 33, 100, 251] {
+            let d = sized_set(n);
+            let mut expected = EvalReport::default();
+            for p in d.iter() {
+                let Some(actual) = p.label() else { continue };
+                let predicted = SignClassifier.classify(p).unwrap();
+                expected.n += 1;
+                expected.correct += usize::from(predicted == actual);
+                *expected.confusion.entry((actual, predicted)).or_insert(0) += 1;
+            }
+            let got = evaluate(&SignClassifier, &d).unwrap();
+            assert_eq!(got.n, expected.n, "n = {n}");
+            assert_eq!(got.correct, expected.correct, "n = {n}");
+            assert_eq!(got.confusion, expected.confusion, "n = {n}");
+        }
+    }
+
+    /// Records the thread each point is classified on.
+    struct ThreadRecorder(std::sync::Mutex<Vec<std::thread::ThreadId>>);
+
+    impl Classifier for ThreadRecorder {
+        fn classify(&self, x: &UncertainPoint) -> Result<ClassLabel> {
+            self.0.lock().unwrap().push(std::thread::current().id());
+            SignClassifier.classify(x)
         }
     }
 
     #[test]
     fn parallel_single_thread_delegates() {
-        let d = test_set();
-        let r = evaluate_parallel(&SignClassifier, &d, 1).unwrap();
-        assert_eq!(r.correct, 90);
+        // Below the 32-point crossover every point stays on the calling
+        // thread.
+        let model = ThreadRecorder(std::sync::Mutex::new(Vec::new()));
+        let r = evaluate(&model, &sized_set(31)).unwrap();
+        let seen = model.0.into_inner().unwrap();
+        assert_eq!(seen.len(), r.n);
+        let me = std::thread::current().id();
+        assert!(seen.iter().all(|&id| id == me));
+    }
+
+    /// Answers label 0, except that it fails on the points whose first
+    /// coordinate is listed in `fail_at` and panics on `panic_at`.
+    struct Faulty {
+        fail_at: Vec<usize>,
+        panic_at: Option<usize>,
+    }
+
+    impl Classifier for Faulty {
+        fn classify(&self, x: &UncertainPoint) -> Result<ClassLabel> {
+            let i = x.value(0) as usize;
+            assert!(self.panic_at != Some(i), "classifier panicked at {i}");
+            if self.fail_at.contains(&i) {
+                return Err(UdmError::InvalidConfig(format!("failed at {i}")));
+            }
+            Ok(ClassLabel(0))
+        }
+    }
+
+    const CONSTANT: Faulty = Faulty {
+        fail_at: Vec::new(),
+        panic_at: None,
+    };
+
+    fn labelled_line(n: usize) -> UncertainDataset {
+        UncertainDataset::from_points(
+            (0..n)
+                .map(|i| {
+                    UncertainPoint::exact(vec![i as f64])
+                        .unwrap()
+                        .with_label(ClassLabel(0))
+                })
+                .collect(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn first_error_in_input_order_propagates() {
+        let model = Faulty {
+            fail_at: vec![5, 40],
+            panic_at: None,
+        };
+        let err = evaluate(&model, &labelled_line(64)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            UdmError::InvalidConfig("failed at 5".into()).to_string()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "classifier panicked at 50")]
+    fn classifier_panic_is_reraised() {
+        let model = Faulty {
+            fail_at: Vec::new(),
+            panic_at: Some(50),
+        };
+        let _ = evaluate(&model, &labelled_line(64));
+    }
+
+    #[test]
+    fn constant_predictor_reads_collapse() {
+        let points = (0..8)
+            .map(|i| {
+                UncertainPoint::exact(vec![f64::from(i)])
+                    .unwrap()
+                    .with_label(ClassLabel(u32::from(i >= 6)))
+            })
+            .collect();
+        let d = UncertainDataset::from_points(points).unwrap();
+        let r = evaluate(&CONSTANT, &d).unwrap();
+        assert!((r.accuracy() - 0.75).abs() < 1e-12);
+        assert!((r.balanced_accuracy() - 0.5).abs() < 1e-12);
+        assert!((r.majority_share() - 1.0).abs() < 1e-12);
+        let text = r.to_string();
+        assert!(text.contains("balanced accuracy 0.5000"), "{text}");
+        assert!(text.contains("majority share 1.0000"), "{text}");
     }
 
     #[test]
@@ -355,6 +487,5 @@ mod tests {
             }
         }
         assert!(evaluate(&Failing, &test_set()).is_err());
-        assert!(evaluate_parallel(&Failing, &test_set(), 4).is_err());
     }
 }

@@ -4,7 +4,6 @@ use crate::eval::{evaluate, Classifier, EvalReport};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 use udm_core::{ClassLabel, Result, UdmError, UncertainDataset};
 
@@ -117,48 +116,6 @@ fn fold_split(
     Ok(out)
 }
 
-/// [`cross_validate`] with the folds trained and evaluated in parallel.
-///
-/// Fold assignments, per-fold splits, and the returned report are
-/// identical to the sequential version for any deterministic `fit` —
-/// the folds are merged in fold order, so only wall-clock time differs.
-///
-/// # Errors
-///
-/// As [`cross_validate`]; the lowest-indexed failing fold's error is
-/// reported.
-pub fn cross_validate_parallel<C, F>(
-    data: &UncertainDataset,
-    k: usize,
-    seed: u64,
-    fit: F,
-) -> Result<CrossValidationReport>
-where
-    C: Classifier,
-    F: Fn(&UncertainDataset) -> Result<C> + Sync,
-{
-    if k < 2 {
-        return Err(UdmError::InvalidConfig(
-            "cross-validation needs at least 2 folds".into(),
-        ));
-    }
-    if k > data.len() {
-        return Err(UdmError::InvalidConfig(format!(
-            "{k} folds exceed {} data points",
-            data.len()
-        )));
-    }
-    let assignments = fold_assignments(data, k, seed);
-    let folds: Result<Vec<EvalReport>> = (0..k)
-        .into_par_iter()
-        .map(|fold| {
-            let model = fit(&fold_split(data, &assignments, fold, false)?)?;
-            evaluate(&model, &fold_split(data, &assignments, fold, true)?)
-        })
-        .collect();
-    Ok(CrossValidationReport { folds: folds? })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,30 +201,26 @@ mod tests {
         let d = dataset(10);
         assert!(cross_validate(&d, 1, 0, |_| Ok(SignClassifier)).is_err());
         assert!(cross_validate(&d, 11, 0, |_| Ok(SignClassifier)).is_err());
-        assert!(cross_validate_parallel(&d, 1, 0, |_| Ok(SignClassifier)).is_err());
-        assert!(cross_validate_parallel(&d, 11, 0, |_| Ok(SignClassifier)).is_err());
     }
 
     #[test]
     fn parallel_folds_match_sequential() {
-        let d = dataset(61);
-        let seq = cross_validate(&d, 4, 17, |_| Ok(SignClassifier)).unwrap();
-        let par = cross_validate_parallel(&d, 4, 17, |_| Ok(SignClassifier)).unwrap();
-        assert_eq!(seq.folds.len(), par.folds.len());
-        for (s, p) in seq.folds.iter().zip(&par.folds) {
-            assert_eq!(s.n, p.n);
-            assert_eq!(s.correct, p.correct);
-            assert_eq!(s.confusion, p.confusion);
+        // 4 folds of 50 points each: every fold is large enough for
+        // `evaluate` to split it over the host's cores.
+        let d = dataset(200);
+        let report = cross_validate(&d, 4, 17, |_| Ok(SignClassifier)).unwrap();
+        let assignments = fold_assignments(&d, 4, 17);
+        for (fold, got) in report.folds.iter().enumerate() {
+            let held_out = fold_split(&d, &assignments, fold, true).unwrap();
+            assert!(held_out.len() >= 32, "fold {fold} has {}", held_out.len());
+            let mut expected: BTreeMap<(ClassLabel, ClassLabel), usize> = BTreeMap::new();
+            for p in held_out.iter() {
+                let predicted = SignClassifier.classify(p).unwrap();
+                *expected.entry((p.label().unwrap(), predicted)).or_insert(0) += 1;
+            }
+            assert_eq!(got.n, held_out.len());
+            assert_eq!(got.confusion, expected, "fold {fold}");
         }
-    }
-
-    #[test]
-    fn parallel_training_errors_propagate() {
-        let d = dataset(10);
-        let r = cross_validate_parallel(&d, 2, 0, |_| -> Result<SignClassifier> {
-            Err(UdmError::EmptyDataset)
-        });
-        assert!(r.is_err());
     }
 
     #[test]

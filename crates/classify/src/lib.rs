@@ -25,9 +25,10 @@
 //! * [`NnClassifier`] — the nearest-neighbor baseline.
 //!
 //! [`eval`] evaluates any [`Classifier`] (accuracy, confusion matrix,
-//! timing), optionally in parallel. [`degraded`] measures how much
-//! accuracy survives when the training stream is corrupted and repaired
-//! by the fault-tolerant ingest pipeline.
+//! timing), splitting large test sets over the host's cores.
+//! [`degraded`] measures how much accuracy survives when the training
+//! stream is corrupted and repaired by the fault-tolerant ingest
+//! pipeline.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -42,7 +43,6 @@
     )
 )]
 
-pub mod batch;
 pub mod config;
 pub mod degraded;
 pub mod eval;
@@ -54,14 +54,13 @@ pub mod rollup;
 pub mod subspace_select;
 pub mod tune;
 
-pub use batch::{classify_batch, guarded_par_map, PAR_CROSSOVER_POINTS};
 pub use config::{ClassifierConfig, Fallback};
 pub use degraded::{
     evaluate_degraded, evaluate_sharded_degraded, survivors_of, ChaosSetup, DegradationReport,
     ShardedDegradationReport,
 };
-pub use eval::{evaluate, evaluate_parallel, Classifier, EvalReport};
-pub use kfold::{cross_validate, cross_validate_parallel, CrossValidationReport};
+pub use eval::{evaluate, Classifier, EvalReport};
+pub use kfold::{cross_validate, CrossValidationReport};
 pub use model::{ClassificationOutcome, DensityClassifier};
 pub use naive::NaiveDensityBayes;
 pub use nn::NnClassifier;

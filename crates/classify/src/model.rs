@@ -4,7 +4,6 @@ use crate::config::{ClassifierConfig, Fallback};
 use crate::eval::Classifier;
 use crate::rollup::{rollup, AccuracyOracle, DiscriminativeSubspace, RollupLimits};
 use crate::subspace_select::select_non_overlapping;
-use rayon::prelude::*;
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
@@ -287,115 +286,6 @@ impl DensityClassifier {
             priors.push(class_data.len() as f64 / train.len() as f64);
             if class_data.len() > majority.1 {
                 majority = (label, class_data.len());
-            }
-        }
-
-        Ok(DensityClassifier {
-            config,
-            dim: train.dim(),
-            labels,
-            priors,
-            class_kdes,
-            global_kde,
-            majority: majority.0,
-            runtime: BackendRuntime::default(),
-        })
-    }
-
-    /// Like [`DensityClassifier::fit`], but builds the global and
-    /// per-class micro-cluster summaries on rayon worker threads.
-    /// Produces a model identical to the sequential one: the summaries
-    /// are deterministic functions of their input partition, and the
-    /// per-class results are merged in label order.
-    pub fn fit_parallel(train: &UncertainDataset, config: ClassifierConfig) -> Result<Self> {
-        let _span_fit = udm_observe::span!("classify_fit_parallel");
-        config.validate()?;
-        let partition = train.partition_by_class();
-        if partition.num_classes() < 2 {
-            return Err(UdmError::InvalidConfig(format!(
-                "training data has {} class(es); need at least 2",
-                partition.num_classes()
-            )));
-        }
-        let labels = partition.labels();
-        let q = config.micro_clusters;
-
-        // Global summary + per-class maintainers, concurrently.
-        type MaintainerResult = Result<MicroClusterMaintainer>;
-        let (global, class_results): (MaintainerResult, Vec<(ClassLabel, MaintainerResult)>) =
-            rayon::join(
-                || {
-                    MicroClusterMaintainer::from_dataset(
-                        train,
-                        MaintainerConfig {
-                            max_clusters: q,
-                            distance: config.distance,
-                        },
-                    )
-                },
-                || {
-                    labels
-                        .par_iter()
-                        .map(|&label| {
-                            let class_data = match partition.class(label) {
-                                Some(d) => d,
-                                None => return (label, Err(UdmError::UnknownLabel(label.id()))),
-                            };
-                            // The per-class budget q_i <= q, which fits in usize.
-                            #[allow(clippy::cast_possible_truncation)]
-                            let q_i = ((q as f64 * class_data.len() as f64 / train.len() as f64)
-                                .round() as usize)
-                                .max(1);
-                            (
-                                label,
-                                MicroClusterMaintainer::from_dataset(
-                                    class_data,
-                                    MaintainerConfig {
-                                        max_clusters: q_i,
-                                        distance: config.distance,
-                                    },
-                                ),
-                            )
-                        })
-                        .collect()
-                },
-            );
-
-        let global = global?;
-        let mut agg = udm_microcluster::MicroCluster::new(train.dim());
-        for c in global.clusters() {
-            agg.merge(c)?;
-        }
-        let sigmas: Vec<f64> = (0..train.dim())
-            .map(|j| udm_core::num::clamped_sqrt(agg.variance(j)))
-            .collect();
-        let bandwidths = config
-            .bandwidth
-            .bandwidths_from_sigmas(&sigmas, train.len())?;
-        let global_kde = MicroClusterKde::fit_with_bandwidths(
-            global.clusters(),
-            bandwidths.clone(),
-            config.kernel_form,
-            config.error_adjusted,
-        )?;
-
-        let mut class_kdes = Vec::with_capacity(labels.len());
-        let mut priors = Vec::with_capacity(labels.len());
-        let mut majority = (labels[0], 0usize);
-        for (label, maintainer) in class_results {
-            let maintainer = maintainer?;
-            // Point counts come from an in-memory dataset; usize holds them.
-            #[allow(clippy::cast_possible_truncation)]
-            let class_len = maintainer.points_seen() as usize;
-            class_kdes.push(MicroClusterKde::fit_with_bandwidths(
-                maintainer.clusters(),
-                bandwidths.clone(),
-                config.kernel_form,
-                config.error_adjusted,
-            )?);
-            priors.push(class_len as f64 / train.len() as f64);
-            if class_len > majority.1 {
-                majority = (label, class_len);
             }
         }
 
@@ -928,23 +818,6 @@ mod tests {
         assert!(model
             .class_scores(&UncertainPoint::exact(vec![0.0]).unwrap())
             .is_err());
-    }
-
-    #[test]
-    fn parallel_fit_equals_sequential_fit() {
-        let g = informative_mixture();
-        let train = g.generate(400, 99);
-        let seq = DensityClassifier::fit(&train, ClassifierConfig::error_adjusted(30)).unwrap();
-        let par =
-            DensityClassifier::fit_parallel(&train, ClassifierConfig::error_adjusted(30)).unwrap();
-        let test = g.generate(80, 100);
-        for p in test.iter() {
-            assert_eq!(seq.classify(p).unwrap(), par.classify(p).unwrap());
-        }
-        assert_eq!(seq.labels(), par.labels());
-        // The parallel fit is *bitwise* identical, not merely equivalent:
-        // the serialized models (exact float round-trip) must match.
-        assert_eq!(seq.to_json().unwrap(), par.to_json().unwrap());
     }
 
     #[test]

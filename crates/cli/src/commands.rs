@@ -400,10 +400,20 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<()> {
             }
             writeln!(out, "test points: {}", report.n)?;
             writeln!(out, "accuracy   : {:.4}", report.accuracy())?;
+            writeln!(
+                out,
+                "balanced   : {:.4} (mean recall over the actual labels)",
+                report.balanced_accuracy()
+            )?;
             writeln!(out, "macro F1   : {:.4}", report.macro_f1())?;
             writeln!(
                 out,
-                "latency    : {:.3e} s/example",
+                "majority   : {:.4} (share of answers given to the most-predicted label)",
+                report.majority_share()
+            )?;
+            writeln!(
+                out,
+                "wall time  : {:.3e} s/example",
                 report.seconds_per_example()
             )?;
             let mut labels: Vec<_> = report.confusion.keys().map(|&(a, _)| a).collect();
@@ -879,6 +889,9 @@ mod tests {
         assert!(out.contains("nearest-neighbor"));
         // NN on its own training data is perfect.
         assert!(out.contains("accuracy   : 1.0000"), "{out}");
+        assert!(out.contains("balanced   : 1.0000"), "{out}");
+        assert!(out.contains("majority   : 0."), "{out}");
+        assert!(out.contains("wall time  : "), "{out}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,6 +1,5 @@
-//! AST-backed rules: the scope-aware UDM005, and the
-//! concurrency/determinism rules UDM007 and UDM009 built on the
-//! [`crate::scope`] capture analysis.
+//! AST-backed rules: the scope-aware UDM005, and the determinism rule
+//! UDM009 built on the [`crate::scope`] closure analysis.
 
 use crate::ast::{Ast, Item, ItemKind, Node};
 use crate::context::FileContext;
@@ -12,7 +11,6 @@ use crate::scope::{analyze_fn, ClosureReport};
 pub fn run_ast_rules(lexed: &Lexed, ast: &Ast, ctx: &FileContext) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     udm005_entry_validation(lexed, ast, ctx, &mut out);
-    udm007_parallel_captures(lexed, ast, ctx, &mut out);
     udm009_once_init_determinism(lexed, ast, ctx, &mut out);
     out.sort_by(|a, b| a.line.cmp(&b.line).then(a.rule.cmp(b.rule)));
     out
@@ -190,133 +188,7 @@ fn udm005_entry_validation(lexed: &Lexed, ast: &Ast, ctx: &FileContext, out: &mu
     });
 }
 
-// ---- UDM007 -------------------------------------------------------------
-
-/// Functions whose closure argument runs on multiple threads.
-const PAR_ENTRY_FNS: [&str; 3] = ["guarded_par_map", "join", "scope"];
-
-/// Method names that move iteration onto the rayon thread pool; every
-/// closure later in the same call chain executes in parallel.
-const PAR_METHODS: [&str; 5] = [
-    "par_iter",
-    "into_par_iter",
-    "par_iter_mut",
-    "par_chunks",
-    "par_bridge",
-];
-
-/// Interior-mutability cell types that are not thread-safe.
-const NON_SYNC_CELLS: [&str; 3] = ["RefCell", "Cell", "UnsafeCell"];
-
-/// Synchronized wrappers that make shared mutation safe.
-const SYNC_WRAPPERS: [&str; 4] = ["Mutex", "RwLock", "AtomicUsize", "AtomicU64"];
-
-/// True when the declaration text mentions `name` as a standalone type
-/// path segment (so `OnceCell` does not match `Cell`).
-fn decl_mentions_type(decl: &str, name: &str) -> bool {
-    decl.split(|c: char| !(c.is_alphanumeric() || c == '_'))
-        .any(|seg| seg == name)
-}
-
-/// UDM007: closures reaching a parallel seam must not capture `&mut`
-/// state, non-`Sync` cells, or mutate captured bindings — rayon will
-/// run them concurrently and the mutation becomes a data race (or a
-/// compile error the author then "fixes" with unsafe/cells).
-fn udm007_parallel_captures(
-    lexed: &Lexed,
-    ast: &Ast,
-    ctx: &FileContext,
-    out: &mut Vec<Diagnostic>,
-) {
-    let toks = &lexed.toks;
-    ast.visit_items(&mut |item, ancestors| {
-        if item.kind != ItemKind::Fn || item.body.is_none() || in_test_item(item, ancestors) {
-            return;
-        }
-        let body = body_indices(item);
-        if body.is_empty() {
-            return;
-        }
-        let start = body[0];
-        let end = *body.last().expect("nonempty") + 1;
-        // Parallel-seam closure opens inside this fn body: a closure
-        // token that appears (a) inside the argument list of one of
-        // PAR_ENTRY_FNS, or (b) after a PAR_METHODS call in the same
-        // statement/chain.
-        let par_spans = parallel_spans(toks, start, end);
-        if par_spans.is_empty() {
-            return;
-        }
-        if item.name_tok.is_some_and(|i| ctx.in_test(toks[i].start)) {
-            return;
-        }
-        let reports = analyze_fn(item, toks);
-        for rep in &reports {
-            let open_tok = &toks[rep.open];
-            if ctx.in_test(open_tok.start) {
-                continue;
-            }
-            if !par_spans
-                .iter()
-                .any(|&(s, e)| rep.open >= s && rep.open < e)
-            {
-                continue;
-            }
-            flag_par_closure(rep, ctx, out);
-        }
-    });
-}
-
-/// Token-index spans `[start, end)` in which a closure is a parallel
-/// seam closure.
-fn parallel_spans(toks: &[Tok], start: usize, end: usize) -> Vec<(usize, usize)> {
-    let mut spans = Vec::new();
-    for i in start..end.min(toks.len()) {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let name = t.text.as_str();
-        let is_entry_fn = PAR_ENTRY_FNS.contains(&name)
-            && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-            // Bare `join`/`scope` only count with a rayon:: path prefix;
-            // `guarded_par_map` counts bare or qualified.
-            && (name == "guarded_par_map" || path_prefix_is(toks, i, "rayon"));
-        if is_entry_fn {
-            if let Some(close) = match_close(toks, i + 1, "(", ")") {
-                spans.push((i + 1, close + 1));
-            }
-        }
-        if PAR_METHODS.contains(&name)
-            && i > 0
-            && toks[i - 1].is_punct(".")
-            && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-        {
-            // Everything from here to the end of the statement/chain
-            // (`;`, `,` at depth 0 relative to here, or closing brace).
-            let mut depth = 0i32;
-            let mut j = i + 1;
-            while j < end.min(toks.len()) {
-                let tk = &toks[j];
-                if tk.is_punct("(") || tk.is_punct("[") || tk.is_punct("{") {
-                    depth += 1;
-                } else if tk.is_punct(")") || tk.is_punct("]") || tk.is_punct("}") {
-                    depth -= 1;
-                    if depth < 0 {
-                        break;
-                    }
-                } else if depth == 0 && tk.is_punct(";") {
-                    break;
-                }
-                j += 1;
-            }
-            spans.push((i, j));
-        }
-    }
-    spans
-}
-
-/// True when tokens before `i` form a `rayon::` path prefix.
+/// True when tokens before `i` form a `root::` path prefix.
 fn path_prefix_is(toks: &[Tok], i: usize, root: &str) -> bool {
     i >= 2 && toks[i - 1].is_punct("::") && toks[i - 2].is_ident(root)
 }
@@ -335,55 +207,6 @@ fn match_close(toks: &[Tok], open_idx: usize, open: &str, close: &str) -> Option
         }
     }
     None
-}
-
-fn flag_par_closure(rep: &ClosureReport, ctx: &FileContext, out: &mut Vec<Diagnostic>) {
-    for cap in &rep.captures {
-        let synced = SYNC_WRAPPERS
-            .iter()
-            .any(|w| decl_mentions_type(&cap.binding.decl_text, w))
-            || cap.binding.decl_text.contains("Atomic");
-        if synced {
-            continue;
-        }
-        if let Some(cell) = NON_SYNC_CELLS
-            .iter()
-            .find(|c| decl_mentions_type(&cap.binding.decl_text, c))
-        {
-            out.push(Diagnostic {
-                rule: "UDM007",
-                path: ctx.rel_path.clone(),
-                line: cap.line,
-                message: format!(
-                    "parallel-seam closure captures `{}` declared with non-Sync \
-                     `{cell}`; use atomics or a Mutex/RwLock (or restructure to \
-                     a map+reduce without shared state)",
-                    cap.name
-                ),
-            });
-            continue;
-        }
-        if cap.mutated() {
-            let how = if cap.assigned {
-                "assigns to"
-            } else if cap.mut_borrowed {
-                "takes `&mut` of"
-            } else {
-                "calls a mutating method on"
-            };
-            out.push(Diagnostic {
-                rule: "UDM007",
-                path: ctx.rel_path.clone(),
-                line: cap.line,
-                message: format!(
-                    "parallel-seam closure {how} captured `{}`; shared mutable \
-                     state across rayon workers is a data race — make the seam \
-                     a pure map and reduce the results sequentially",
-                    cap.name
-                ),
-            });
-        }
-    }
 }
 
 // ---- UDM009 -------------------------------------------------------------
@@ -472,8 +295,6 @@ fn collect_head_closures(item: &Item, out: &mut Vec<ClosureReport>) {
                 Node::Closure(c) => {
                     out.push(ClosureReport {
                         open: c.open,
-                        line: c.line,
-                        captures: Vec::new(),
                         unordered_iters: Vec::new(),
                     });
                     walk(&c.body, out);
@@ -600,43 +421,6 @@ mod tests {
     fn udm005_ast_skips_test_gated_items() {
         let src = "#[cfg(test)]\nmod t { pub fn density(x: &[f64]) -> f64 { x[0] } }";
         assert!(!rules_of(&lint(src)).contains(&"UDM005"));
-    }
-
-    #[test]
-    fn udm007_flags_mutable_capture_at_guarded_par_map() {
-        let src = "fn f(items: &[f64]) { let mut total = 0.0; guarded_par_map(items, 4, |x| { total += x; Ok(*x) }); }";
-        let ds = lint(src);
-        assert!(rules_of(&ds).contains(&"UDM007"), "{ds:?}");
-    }
-
-    #[test]
-    fn udm007_flags_refcell_capture_in_par_iter_chain() {
-        let src = "fn f(items: Vec<f64>) { let cache: RefCell<Vec<f64>> = RefCell::new(vec![]); items.par_iter().map(|x| cache.borrow()[0] * x).sum::<f64>(); }";
-        let ds = lint(src);
-        assert!(rules_of(&ds).contains(&"UDM007"), "{ds:?}");
-    }
-
-    #[test]
-    fn udm007_accepts_pure_and_synchronized_closures() {
-        for src in [
-            "fn f(items: &[f64], scale: f64) { guarded_par_map(items, 4, |x| Ok(x * scale)); }",
-            "fn f(items: &[f64]) { let hits: AtomicUsize = AtomicUsize::new(0); guarded_par_map(items, 4, |x| { hits.fetch_add(1, Relaxed); Ok(*x) }); }",
-            "fn f(items: Vec<f64>) { let mut total = 0.0; items.iter().for_each(|x| total += x); }",
-            "fn f(items: &[f64]) { let acc: Mutex<f64> = Mutex::new(0.0); guarded_par_map(items, 4, |x| { *acc.lock()? += x; Ok(*x) }); }",
-        ] {
-            assert!(!rules_of(&lint(src)).contains(&"UDM007"), "{src}");
-        }
-    }
-
-    #[test]
-    fn udm007_oncecell_is_not_cell() {
-        let src = "fn f(items: &[f64]) { let layout: OnceCell<usize> = OnceCell::new(); guarded_par_map(items, 4, |x| Ok(x * *layout.get_or_init(|| 1) as f64)); }";
-        let ds = lint(src);
-        assert!(
-            !ds.iter()
-                .any(|d| d.rule == "UDM007" && d.message.contains("Cell")),
-            "{ds:?}"
-        );
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! Three passes:
 //!
 //! 1. **Per file** — lex, then parse with [`crate::parser`], then run the
-//!    token rules and the AST rules (UDM005, UDM007, UDM009). A file
-//!    whose parse has errors or leaves tokens uncovered fails the whole
-//!    check, naming the file and the parser's first error.
+//!    token rules and the AST rules (UDM005, UDM009). A file whose
+//!    parse has errors or leaves tokens uncovered fails the whole check,
+//!    naming the file and the parser's first error.
 //! 2. **Cross-file** — the UDM008 fast-math isolation pass over every
 //!    file ([`crate::callgraph`]).
 //! 3. **Waivers** — inline-comment filtering, with unused-waiver

@@ -1,8 +1,8 @@
 //! # udm-lint
 //!
 //! A custom static-analysis pass over the workspace's Rust sources,
-//! enforcing the numeric-safety, concurrency and determinism invariants
-//! the uncertain-data-mining crates rely on that clippy cannot express
+//! enforcing the numeric-safety and determinism invariants the
+//! uncertain-data-mining crates rely on that clippy cannot express
 //! (see `DESIGN.md`, "Numeric invariants & static analysis"). Built on a
 //! self-contained lexer plus a hand-rolled recursive-descent parser
 //! ([`parser`]) — no external parser dependencies — so it runs in the
@@ -25,17 +25,14 @@
 //! * **UDM006** — `udm_observe::span!` guards must be bound to a named
 //!   variable; `let _ = span!(..)` and bare `span!(..);` statements drop
 //!   the RAII guard immediately, so the span covers nothing.
-//! * **UDM007** — closures handed to the parallel seams
-//!   (`guarded_par_map`, `rayon::join`/`scope`, `par_iter` chains) must
-//!   not capture `RefCell`/`Cell` state or mutate captured bindings;
-//!   dataflow over the AST ([`scope`], [`astrules`]).
 //! * **UDM008** — items gated on the `fast-math` feature (and the
 //!   deliberately-ungated approximate roots like `fast_exp`) must stay
 //!   unreachable from default-build code; cross-file pass
 //!   ([`callgraph`]).
 //! * **UDM009** — `OnceLock`/`OnceCell`/`Lazy` initialisers must be
 //!   deterministic: no RNG, clocks, thread ids, or unordered-map
-//!   iteration inside the init closure.
+//!   iteration inside the init closure; the binding table comes from
+//!   [`scope`], the rule from [`astrules`].
 //!
 //! Panicking calls in library code, `as` casts in the kernel modules
 //! and undocumented `unsafe` blocks are clippy lints declared next to

@@ -6,14 +6,12 @@
 //! | UDM003 | `sqrt` of variance-like expressions must use `udm_core::num::clamped_sqrt` |
 //! | UDM005 | public estimator entry points must validate finite inputs |
 //! | UDM006 | `span!` guards must be bound to a named variable |
-//! | UDM007 | closures at parallel seams must not capture mutable shared state |
 //! | UDM008 | `fast-math`-gated items unreachable from default-feature code |
 //! | UDM009 | once-init closures must be deterministic |
 //!
 //! UDM002, UDM003 and UDM006 are token rules (they scan the lexer's
-//! token stream). UDM005, UDM007 and UDM009 live in
-//! [`crate::astrules`]; UDM008 is the cross-file pass in
-//! [`crate::callgraph`].
+//! token stream). UDM005 and UDM009 live in [`crate::astrules`];
+//! UDM008 is the cross-file pass in [`crate::callgraph`].
 
 use crate::context::FileContext;
 use crate::lexer::{Lexed, Tok, TokKind};
@@ -32,12 +30,10 @@ pub struct Diagnostic {
 }
 
 /// All rule ids, in order.
-pub const ALL_RULES: [&str; 7] = [
-    "UDM002", "UDM003", "UDM005", "UDM006", "UDM007", "UDM008", "UDM009",
-];
+pub const ALL_RULES: [&str; 6] = ["UDM002", "UDM003", "UDM005", "UDM006", "UDM008", "UDM009"];
 
 /// One-line description per rule id (drives `--format json`/`sarif`).
-pub const RULE_INFO: [(&str, &str); 7] = [
+pub const RULE_INFO: [(&str, &str); 6] = [
     (
         "UDM002",
         "no bare ==/!= against float expressions outside test code",
@@ -51,10 +47,6 @@ pub const RULE_INFO: [(&str, &str); 7] = [
         "public estimator entry points must validate finite inputs",
     ),
     ("UDM006", "span! guards must be bound to a named variable"),
-    (
-        "UDM007",
-        "closures at parallel seams must not capture mutable or non-atomic shared state",
-    ),
     (
         "UDM008",
         "fast-math-gated items must be unreachable from default-feature code",

@@ -1,12 +1,9 @@
-//! Scope, capture and mutation analysis over the parsed AST.
+//! Scope and closure analysis over the parsed AST.
 //!
-//! This is the small intra-function dataflow walker the concurrency
-//! rules run on. It tracks `let` bindings (and `fn` parameters) through
-//! lexical scopes, and for every closure records which enclosing-scope
-//! bindings it captures, whether those captures are mutated inside the
-//! closure body (assignment, `&mut` borrow, or a mutating method call),
-//! and any iteration over unordered collections — the facts UDM007 and
-//! UDM009 decide on.
+//! This is the small intra-function walker UDM009 runs on. It tracks
+//! `let` bindings (and `fn` parameters) through lexical scopes, and for
+//! every closure records the iterations over enclosing-scope bindings
+//! whose declaration names an unordered collection.
 
 use crate::ast::{Block, Closure, Item, ItemKind, Node, Stmt};
 use crate::lexer::{Tok, TokKind};
@@ -15,35 +12,9 @@ use std::collections::HashMap;
 /// One binding visible in a scope.
 #[derive(Debug, Clone)]
 pub struct BindingInfo {
-    /// Declared with `mut`.
-    pub mutable: bool,
     /// Flattened text of the binding's type/initializer tokens —
-    /// scanned for type names (`RefCell`, `HashMap`, …).
+    /// scanned for type names (`HashMap`, `HashSet`).
     pub decl_text: String,
-}
-
-/// One captured variable inside a closure.
-#[derive(Debug, Clone)]
-pub struct Capture {
-    /// The variable name.
-    pub name: String,
-    /// The binding in the enclosing scope, as declared.
-    pub binding: BindingInfo,
-    /// Assigned to inside the closure (`x = ..`, `x += ..`).
-    pub assigned: bool,
-    /// Mutably borrowed inside the closure (`&mut x`).
-    pub mut_borrowed: bool,
-    /// Receiver of a mutating method (`x.push(..)`, `x.insert(..)`).
-    pub mut_method: bool,
-    /// 1-based line of the first mutating (or first) use.
-    pub line: usize,
-}
-
-impl Capture {
-    /// Any form of mutation through the capture.
-    pub fn mutated(&self) -> bool {
-        self.assigned || self.mut_borrowed || self.mut_method
-    }
 }
 
 /// Iteration over an unordered collection observed in a closure body.
@@ -62,31 +33,9 @@ pub struct UnorderedIter {
 pub struct ClosureReport {
     /// Token index of the closure's opening `|` / `||`.
     pub open: usize,
-    /// 1-based line of the closure.
-    pub line: usize,
-    /// Captured enclosing-scope bindings.
-    pub captures: Vec<Capture>,
     /// Unordered-collection iterations inside the body.
     pub unordered_iters: Vec<UnorderedIter>,
 }
-
-/// Methods that mutate their receiver in-place.
-const MUTATING_METHODS: [&str; 14] = [
-    "push",
-    "push_str",
-    "insert",
-    "remove",
-    "extend",
-    "clear",
-    "sort",
-    "sort_by",
-    "sort_unstable",
-    "truncate",
-    "drain",
-    "retain",
-    "pop",
-    "append",
-];
 
 /// Unordered collection types whose iteration order is nondeterministic.
 const UNORDERED_TYPES: [&str; 2] = ["HashMap", "HashSet"];
@@ -144,7 +93,6 @@ fn bind_params(params: &[Node], toks: &[Tok], scope: &mut HashMap<String, Bindin
         // Pattern = tokens before the first `:`; name = first plain
         // ident in it (after optional `mut`/`ref`/`&`).
         let mut name = None;
-        let mut mutable = false;
         let mut after_colon = false;
         let mut decl = String::new();
         for n in &part {
@@ -157,8 +105,6 @@ fn bind_params(params: &[Node], toks: &[Tok], scope: &mut HashMap<String, Bindin
                 if after_colon {
                     decl.push_str(&t.text);
                     decl.push(' ');
-                } else if t.is_ident("mut") {
-                    mutable = true;
                 } else if t.kind == TokKind::Ident
                     && name.is_none()
                     && !NON_VAR_IDENTS.contains(&t.text.as_str())
@@ -170,13 +116,7 @@ fn bind_params(params: &[Node], toks: &[Tok], scope: &mut HashMap<String, Bindin
             }
         }
         if let Some(name) = name {
-            scope.insert(
-                name,
-                BindingInfo {
-                    mutable,
-                    decl_text: decl,
-                },
-            );
+            scope.insert(name, BindingInfo { decl_text: decl });
         }
     }
 }
@@ -217,20 +157,16 @@ fn walk_stmt(
     if let [Node::Tok(i), ..] = stmt.nodes.as_slice() {
         if toks[*i].is_ident("for") {
             let mut j = 1;
-            let mut mutable = false;
             while let Some(Node::Tok(k)) = stmt.nodes.get(j) {
                 let t = &toks[*k];
                 if t.is_ident("in") {
                     break;
                 }
-                if t.is_ident("mut") {
-                    mutable = true;
-                } else if t.kind == TokKind::Ident && !NON_VAR_IDENTS.contains(&t.text.as_str()) {
+                if t.kind == TokKind::Ident && !NON_VAR_IDENTS.contains(&t.text.as_str()) {
                     if let Some(scope) = scopes.last_mut() {
                         scope.insert(
                             t.text.clone(),
                             BindingInfo {
-                                mutable,
                                 decl_text: String::new(),
                             },
                         );
@@ -246,7 +182,6 @@ fn walk_stmt(
 /// Extracts `let [mut] name [: Type] [= init]` from a let statement.
 fn let_binding(stmt: &Stmt, toks: &[Tok]) -> Option<(String, BindingInfo)> {
     let mut name = None;
-    let mut mutable = false;
     let mut in_decl = false;
     let mut decl = String::new();
     for n in &stmt.nodes {
@@ -256,8 +191,6 @@ fn let_binding(stmt: &Stmt, toks: &[Tok]) -> Option<(String, BindingInfo)> {
                 if !in_decl {
                     if t.is_punct(":") || t.is_punct("=") {
                         in_decl = true;
-                    } else if t.is_ident("mut") {
-                        mutable = true;
                     } else if t.kind == TokKind::Ident
                         && name.is_none()
                         && !NON_VAR_IDENTS.contains(&t.text.as_str())
@@ -273,15 +206,7 @@ fn let_binding(stmt: &Stmt, toks: &[Tok]) -> Option<(String, BindingInfo)> {
             _ => {}
         }
     }
-    name.map(|n| {
-        (
-            n,
-            BindingInfo {
-                mutable,
-                decl_text: decl,
-            },
-        )
-    })
+    name.map(|n| (n, BindingInfo { decl_text: decl }))
 }
 
 fn walk_node(
@@ -336,7 +261,6 @@ fn analyze_closure(
     let params = closure_param_scope(c, toks);
     let mut flat: Vec<usize> = Vec::new();
     flatten_indices(&c.body, &mut flat);
-    let mut captures: HashMap<String, Capture> = HashMap::new();
     let mut unordered = Vec::new();
     // Local lets inside the closure body shadow enclosing bindings.
     let mut locals: Vec<String> = Vec::new();
@@ -369,35 +293,6 @@ fn analyze_closure(
         let Some(binding) = lookup(scopes, name) else {
             continue;
         };
-        let entry = captures.entry(name.to_string()).or_insert_with(|| Capture {
-            name: name.to_string(),
-            binding: binding.clone(),
-            assigned: false,
-            mut_borrowed: false,
-            mut_method: false,
-            line: t.line,
-        });
-        // Mutation forms at the use site.
-        if let Some(next) = toks.get(i + 1) {
-            if is_assign_op(next) {
-                entry.assigned = true;
-                entry.line = t.line;
-            }
-            if next.is_punct(".") {
-                if let Some(m) = toks.get(i + 2) {
-                    if MUTATING_METHODS.contains(&m.text.as_str())
-                        && toks.get(i + 3).is_some_and(|p| p.is_punct("("))
-                    {
-                        entry.mut_method = true;
-                        entry.line = t.line;
-                    }
-                }
-            }
-        }
-        if i >= 2 && toks[i - 1].is_ident("mut") && toks[i - 2].is_punct("&") {
-            entry.mut_borrowed = true;
-            entry.line = t.line;
-        }
         // Unordered iteration: `name.iter()` etc. where the binding's
         // declaration names a HashMap/HashSet.
         if let (Some(dot), Some(m)) = (toks.get(i + 1), toks.get(i + 2)) {
@@ -415,21 +310,10 @@ fn analyze_closure(
             }
         }
     }
-    let mut captures: Vec<Capture> = captures.into_values().collect();
-    captures.sort_by(|a, b| a.name.cmp(&b.name));
     ClosureReport {
         open: c.open,
-        line: c.line,
-        captures,
         unordered_iters: unordered,
     }
-}
-
-fn is_assign_op(t: &Tok) -> bool {
-    matches!(
-        t.text.as_str(),
-        "=" | "+=" | "-=" | "*=" | "/=" | "%=" | "&=" | "|=" | "^=" | "<<=" | ">>="
-    ) && t.kind == TokKind::Punct
 }
 
 /// Collects the token indices of a node list, in order.
@@ -525,56 +409,30 @@ mod tests {
     }
 
     #[test]
-    fn mutable_capture_is_detected() {
-        let reps = closures_of(
-            "fn f() { let mut total = 0.0; items.iter().for_each(|x| { total += x; }); }",
-        );
-        assert_eq!(reps.len(), 1);
-        let cap = reps[0].captures.iter().find(|c| c.name == "total").unwrap();
-        assert!(cap.binding.mutable);
-        assert!(cap.assigned);
-        assert!(cap.mutated());
-    }
-
-    #[test]
-    fn read_only_capture_is_not_mutation() {
-        let reps = closures_of("fn f(scale: f64) { let k = 2.0; run(|x| x * k * scale); }");
-        assert_eq!(reps.len(), 1);
-        for c in &reps[0].captures {
-            assert!(!c.mutated(), "{c:?}");
-        }
-        let names: Vec<&str> = reps[0].captures.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, vec!["k", "scale"]);
-    }
-
-    #[test]
-    fn mutating_method_on_capture() {
-        let reps = closures_of("fn f() { let mut acc = Vec::new(); run(|x| { acc.push(x); }); }");
-        let cap = reps[0].captures.iter().find(|c| c.name == "acc").unwrap();
-        assert!(cap.mut_method);
-    }
-
-    #[test]
-    fn mut_borrow_of_capture() {
-        let reps = closures_of("fn f() { let mut buf = vec![]; run(|| fill(&mut buf)); }");
-        let cap = reps[0].captures.iter().find(|c| c.name == "buf").unwrap();
-        assert!(cap.mut_borrowed);
-    }
-
-    #[test]
     fn refcell_type_recorded_in_decl_text() {
-        let reps = closures_of(
-            "fn f() { let cell: RefCell<f64> = RefCell::new(0.0); run(|| cell.borrow()); }",
-        );
-        let cap = reps[0].captures.iter().find(|c| c.name == "cell").unwrap();
-        assert!(cap.binding.decl_text.contains("RefCell"), "{cap:?}");
-        assert!(!cap.mutated());
+        let lexed = lex("fn f() { let cell: RefCell<f64> = RefCell::new(0.0); }");
+        let ast = parse(&lexed);
+        let mut decls = Vec::new();
+        ast.visit_items(&mut |item, _| {
+            for stmt in item.body.iter().flat_map(|b| &b.stmts) {
+                decls.extend(let_binding(stmt, &lexed.toks));
+            }
+        });
+        assert_eq!(decls.len(), 1);
+        assert_eq!(decls[0].0, "cell");
+        assert!(decls[0].1.decl_text.contains("RefCell"), "{decls:?}");
     }
 
     #[test]
     fn closure_params_and_locals_are_not_captures() {
-        let reps = closures_of("fn f() { run(|x: f64| { let y = x + 1.0; y * 2.0 }); }");
-        assert!(reps[0].captures.is_empty(), "{:?}", reps[0].captures);
+        // The closure's own `m` (parameter or local) shadows the outer map.
+        for src in [
+            "fn f() { let m: HashMap<u32, f64> = HashMap::new(); run(|m: Vec<f64>| m.iter().count()); }",
+            "fn f() { let m: HashMap<u32, f64> = HashMap::new(); run(|| { let m = vec![1.0]; m.iter().count() }); }",
+        ] {
+            let reps = closures_of(src);
+            assert!(reps.iter().all(|r| r.unordered_iters.is_empty()), "{src}");
+        }
     }
 
     #[test]
@@ -596,16 +454,16 @@ mod tests {
 
     #[test]
     fn path_roots_and_fields_are_not_captures() {
-        let reps = closures_of("fn f() { let n = 3; run(|| Vec::with_capacity(n) ); }");
-        let names: Vec<&str> = reps[0].captures.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, vec!["n"]);
+        let reps = closures_of(
+            "fn f(s: &S) { let m: HashSet<u32> = HashSet::new(); run(|| s.m.iter().count() + m::iter().count()); }",
+        );
+        assert!(reps[0].unordered_iters.is_empty(), "{:?}", reps[0]);
     }
 
     #[test]
     fn fn_params_are_bound() {
-        let reps = closures_of("fn f(mut state: Vec<f64>) { run(move || state.clear()); }");
-        let cap = reps[0].captures.iter().find(|c| c.name == "state").unwrap();
-        assert!(cap.binding.mutable);
-        assert!(cap.mut_method);
+        let reps = closures_of("fn f(state: HashSet<u64>) { run(move || state.iter().count()); }");
+        let it = &reps[0].unordered_iters[0];
+        assert_eq!((it.name.as_str(), it.ty.as_str()), ("state", "HashSet"));
     }
 }

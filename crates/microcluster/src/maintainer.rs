@@ -16,7 +16,6 @@
 use crate::distance::AssignmentDistance;
 use crate::feature::MicroCluster;
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use udm_core::num::f64_from_count;
 use udm_core::{Result, UdmError, UncertainDataset, UncertainPoint};
@@ -103,89 +102,6 @@ impl MicroClusterMaintainer {
             m.insert(p)?;
         }
         Ok(m)
-    }
-
-    /// Builds a maintainer with the post-warm-up assignment pass
-    /// data-parallel over batches of `batch` points.
-    ///
-    /// Seeding is unchanged (the first `q` arrivals each found a
-    /// cluster). Each subsequent batch computes every member's nearest
-    /// centroid in parallel against the centroids *frozen at the batch
-    /// boundary*, then folds the statistics in dataset order — so the
-    /// result is deterministic and independent of the thread count. With
-    /// `batch == 1` the frozen centroids are always current and the
-    /// result is identical to [`Self::from_dataset`]; larger batches
-    /// trade assignment freshness (centroids drift only between batches)
-    /// for `q·d`-scan parallelism, exactly the mini-batch compromise
-    /// usual for CluStream-style summaries.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::from_dataset`]; additionally
-    /// [`UdmError::InvalidConfig`] for `batch == 0`.
-    pub fn from_dataset_batched(
-        dataset: &UncertainDataset,
-        config: MaintainerConfig,
-        batch: usize,
-    ) -> Result<Self> {
-        if batch == 0 {
-            return Err(UdmError::InvalidConfig(
-                "batch size must be at least 1".into(),
-            ));
-        }
-        let mut m = Self::new(dataset.dim(), config)?;
-        let points = dataset.points();
-        let warm = config.max_clusters.min(points.len());
-        for p in &points[..warm] {
-            m.insert(p)?;
-        }
-        for chunk in points[warm..].chunks(batch) {
-            let assigned: Result<Vec<usize>> = chunk
-                .par_iter()
-                .map(|p| {
-                    if p.dim() != m.dim {
-                        return Err(UdmError::DimensionMismatch {
-                            expected: m.dim,
-                            actual: p.dim(),
-                        });
-                    }
-                    m.nearest(p).ok_or(UdmError::EmptyDataset)
-                })
-                .collect();
-            for (p, idx) in chunk.iter().zip(assigned?) {
-                m.absorb_at(idx, p)?;
-            }
-        }
-        Ok(m)
-    }
-
-    /// Nearest-centroid index of every point of `dataset`, computed in
-    /// parallel against the current (frozen) centroids. This is the
-    /// read-only assignment pass — the maintainer is not modified, so
-    /// the result is a pure, thread-count-independent function of the
-    /// current summary.
-    ///
-    /// # Errors
-    ///
-    /// [`UdmError::EmptyDataset`] when no clusters exist yet;
-    /// [`UdmError::DimensionMismatch`] on ragged points.
-    pub fn assignments(&self, dataset: &UncertainDataset) -> Result<Vec<usize>> {
-        if self.clusters.is_empty() {
-            return Err(UdmError::EmptyDataset);
-        }
-        dataset
-            .points()
-            .par_iter()
-            .map(|p| {
-                if p.dim() != self.dim {
-                    return Err(UdmError::DimensionMismatch {
-                        expected: self.dim,
-                        actual: p.dim(),
-                    });
-                }
-                self.nearest(p).ok_or(UdmError::EmptyDataset)
-            })
-            .collect()
     }
 
     /// The configuration.
@@ -289,21 +205,15 @@ impl MicroClusterMaintainer {
                 let d = self.config.distance.evaluate(point, &self.centroids[idx]);
                 udm_observe::histogram_observe!("udm_microcluster_assign_distance", d);
             }
-            self.absorb_at(idx, point)?;
+            self.clusters[idx].insert(point)?;
+            let c = &self.clusters[idx];
+            let inv = 1.0 / f64_from_count(c.n());
+            for (slot, &sum) in self.centroids[idx].iter_mut().zip(c.cf1().iter()) {
+                *slot = sum * inv;
+            }
+            self.points_seen += 1;
             Ok(idx)
         }
-    }
-
-    /// Folds `point` into cluster `idx`, refreshing its cached centroid.
-    fn absorb_at(&mut self, idx: usize, point: &UncertainPoint) -> Result<()> {
-        self.clusters[idx].insert(point)?;
-        let c = &self.clusters[idx];
-        let inv = 1.0 / f64_from_count(c.n());
-        for (slot, &sum) in self.centroids[idx].iter_mut().zip(c.cf1().iter()) {
-            *slot = sum * inv;
-        }
-        self.points_seen += 1;
-        Ok(())
     }
 
     /// Index of the nearest centroid under the configured distance, or
@@ -473,61 +383,6 @@ mod tests {
         let m = MicroClusterMaintainer::from_dataset(&d, MaintainerConfig::new(8)).unwrap();
         assert_eq!(m.points_seen(), 50);
         assert_eq!(m.num_clusters(), 8);
-    }
-
-    fn drifting_dataset(n: usize) -> UncertainDataset {
-        UncertainDataset::from_points(
-            (0..n)
-                .map(|i| {
-                    let x = (i as f64 * 0.618_033_988_749).fract() * 20.0;
-                    pt(&[x, (i % 7) as f64], &[0.1, (i % 3) as f64 * 0.2])
-                })
-                .collect::<Vec<_>>(),
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn batched_with_batch_one_matches_streaming_exactly() {
-        let d = drifting_dataset(200);
-        let stream = MicroClusterMaintainer::from_dataset(&d, MaintainerConfig::new(10)).unwrap();
-        let batched =
-            MicroClusterMaintainer::from_dataset_batched(&d, MaintainerConfig::new(10), 1).unwrap();
-        assert_eq!(stream.clusters(), batched.clusters());
-        assert_eq!(stream.points_seen(), batched.points_seen());
-    }
-
-    #[test]
-    fn batched_pass_is_deterministic_and_conserves_counts() {
-        let d = drifting_dataset(500);
-        for batch in [7, 64, 1000] {
-            let a =
-                MicroClusterMaintainer::from_dataset_batched(&d, MaintainerConfig::new(12), batch)
-                    .unwrap();
-            let b =
-                MicroClusterMaintainer::from_dataset_batched(&d, MaintainerConfig::new(12), batch)
-                    .unwrap();
-            assert_eq!(a.clusters(), b.clusters(), "batch {batch}");
-            assert_eq!(a.points_seen(), 500);
-            let total: u64 = a.clusters().iter().map(|c| c.n()).sum();
-            assert_eq!(total, 500);
-            assert_eq!(a.num_clusters(), 12);
-        }
-        assert!(
-            MicroClusterMaintainer::from_dataset_batched(&d, MaintainerConfig::new(12), 0).is_err()
-        );
-    }
-
-    #[test]
-    fn assignments_match_pointwise_nearest() {
-        let d = drifting_dataset(120);
-        let m = MicroClusterMaintainer::from_dataset(&d, MaintainerConfig::new(6)).unwrap();
-        let par = m.assignments(&d).unwrap();
-        for (i, p) in d.iter().enumerate() {
-            assert_eq!(par[i], m.nearest(p).unwrap());
-        }
-        let empty = MicroClusterMaintainer::new(2, MaintainerConfig::new(2)).unwrap();
-        assert!(empty.assignments(&d).is_err());
     }
 
     #[test]

@@ -60,7 +60,9 @@ pub use registry::{
     global, Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot,
     LazyCounter, LazyGauge, LazyHistogram, Registry, Snapshot,
 };
-pub use span::{flush_tracing, init_tracing, profile, reset_profile, SpanGuard, SpanNode};
+pub use span::{
+    flush_tracing, init_tracing, profile, reset_profile, trace_buffer_count, SpanGuard, SpanNode,
+};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -9,8 +9,9 @@
 //!
 //! When tracing is initialised ([`init_tracing`]), each finished span is
 //! additionally appended to a per-thread buffer; buffers flush to a JSONL
-//! trace file once they grow past a watermark and on [`flush_tracing`].
-//! Lock order is always buffer → writer, never the reverse.
+//! trace file once they grow past a watermark, on [`flush_tracing`], and
+//! when their thread exits, which also drops the buffer from the
+//! registry. Lock order is always buffer → writer, never the reverse.
 
 use parking_lot::Mutex;
 use serde::Serialize;
@@ -33,10 +34,25 @@ struct Frame {
     child_ns: u64,
 }
 
+type TraceBuf = Arc<Mutex<Vec<TraceEvent>>>;
+
+/// A thread's trace buffer, registered in `state().buffers` on first
+/// use. When the thread exits, its remaining events are written out and
+/// its registry entry is dropped.
+struct ThreadTraceBuf(std::cell::OnceCell<TraceBuf>);
+
+impl Drop for ThreadTraceBuf {
+    fn drop(&mut self) {
+        if let Some(buf) = self.0.get() {
+            drain(buf);
+            state().buffers.lock().retain(|b| !Arc::ptr_eq(b, buf));
+        }
+    }
+}
+
 thread_local! {
     static STACK: std::cell::RefCell<Vec<Frame>> = const { std::cell::RefCell::new(Vec::new()) };
-    static TRACE_BUF: std::cell::OnceCell<Arc<Mutex<Vec<TraceEvent>>>> =
-        const { std::cell::OnceCell::new() };
+    static TRACE_BUF: ThreadTraceBuf = const { ThreadTraceBuf(std::cell::OnceCell::new()) };
 }
 
 /// Aggregated timing for one span path.
@@ -63,9 +79,10 @@ pub struct TraceEvent {
 /// Global span aggregation state.
 struct SpanState {
     profile: Mutex<HashMap<String, SpanStat>>,
-    /// Every live per-thread trace buffer, so `flush_tracing` can drain
-    /// buffers owned by other threads.
-    buffers: Mutex<Vec<Arc<Mutex<Vec<TraceEvent>>>>>,
+    /// The trace buffer of every live thread that has recorded a
+    /// traced span, so `flush_tracing` can drain buffers owned by other
+    /// threads.
+    buffers: Mutex<Vec<TraceBuf>>,
     writer: Mutex<Option<BufWriter<File>>>,
     epoch: OnceLock<Instant>,
 }
@@ -169,24 +186,29 @@ impl Drop for SpanGuard {
 /// Appends to the calling thread's trace buffer, flushing past the
 /// watermark.
 fn record_trace(event: TraceEvent) {
-    let buf = TRACE_BUF.with(|cell| {
-        Arc::clone(cell.get_or_init(|| {
+    let buf = TRACE_BUF.with(|tb| {
+        Arc::clone(tb.0.get_or_init(|| {
             let buf = Arc::new(Mutex::new(Vec::new()));
             state().buffers.lock().push(Arc::clone(&buf));
             buf
         }))
     });
-    let drained = {
-        let mut buf = buf.lock();
-        buf.push(event);
-        if buf.len() >= FLUSH_WATERMARK {
-            std::mem::take(&mut *buf)
-        } else {
-            Vec::new()
-        }
-    };
-    if !drained.is_empty() {
-        write_events(&drained);
+    let mut events = buf.lock();
+    events.push(event);
+    if events.len() >= FLUSH_WATERMARK {
+        write_events(&events);
+        events.clear();
+    }
+}
+
+/// Writes out and empties one trace buffer. The buffer stays locked
+/// until its events are written, so a concurrent [`flush_tracing`]
+/// cannot flush the file ahead of them.
+fn drain(buf: &Mutex<Vec<TraceEvent>>) {
+    let mut events = buf.lock();
+    if !events.is_empty() {
+        write_events(&events);
+        events.clear();
     }
 }
 
@@ -215,18 +237,21 @@ pub fn init_tracing(path: &Path) -> std::io::Result<()> {
 /// Drains every thread's trace buffer into the trace file and flushes it.
 /// A no-op when tracing was never initialised.
 pub fn flush_tracing() {
-    let buffers: Vec<Arc<Mutex<Vec<TraceEvent>>>> =
-        state().buffers.lock().iter().map(Arc::clone).collect();
+    let buffers: Vec<TraceBuf> = state().buffers.lock().iter().map(Arc::clone).collect();
     for buf in buffers {
-        let drained = std::mem::take(&mut *buf.lock());
-        if !drained.is_empty() {
-            write_events(&drained);
-        }
+        drain(&buf);
     }
     let mut writer = state().writer.lock();
     if let Some(w) = writer.as_mut() {
         let _ = w.flush();
     }
+}
+
+/// Number of per-thread trace buffers in the registry: one for each
+/// live thread that has recorded a span since tracing was initialised.
+#[must_use]
+pub fn trace_buffer_count() -> usize {
+    state().buffers.lock().len()
 }
 
 /// One node of the self-time profile tree (flattened; the hierarchy is

@@ -1,9 +1,8 @@
-//! Concurrency: hammer one histogram from 8 rayon threads and check the
+//! Concurrency: hammer one histogram from 8 threads and check the
 //! merged totals are exact and the quantiles are ordered.
 
 #![cfg(feature = "enabled")]
 
-use rayon::prelude::*;
 use udm_observe::Histogram;
 
 const THREADS: usize = 8;
@@ -12,17 +11,22 @@ const PER_THREAD: u64 = 10_000;
 #[test]
 fn histogram_exact_count_under_contention() {
     let h = Histogram::with_bounds(vec![0.001, 0.01, 0.1, 1.0, 10.0]);
-    (0..THREADS).into_par_iter().for_each(|t| {
-        for i in 0..PER_THREAD {
-            // Deterministic values spread across several buckets.
-            let v = match (t as u64 + i) % 5 {
-                0 => 0.0005,
-                1 => 0.005,
-                2 => 0.05,
-                3 => 0.5,
-                _ => 5.0,
-            };
-            h.observe(v);
+    std::thread::scope(|s| {
+        for t in 0..THREADS as u64 {
+            let h = &h;
+            s.spawn(move || {
+                for i in 0..PER_THREAD {
+                    // Deterministic values spread across several buckets.
+                    let v = match (t + i) % 5 {
+                        0 => 0.0005,
+                        1 => 0.005,
+                        2 => 0.05,
+                        3 => 0.5,
+                        _ => 5.0,
+                    };
+                    h.observe(v);
+                }
+            });
         }
     });
     let snap = h.snapshot("contended");
@@ -59,9 +63,13 @@ fn histogram_exact_count_under_contention() {
 fn counter_exact_under_contention() {
     let registry = udm_observe::Registry::new();
     let c = registry.counter("contended_total");
-    (0..THREADS).into_par_iter().for_each(|_| {
-        for _ in 0..PER_THREAD {
-            c.inc();
+    std::thread::scope(|s| {
+        for _ in 0..THREADS {
+            s.spawn(|| {
+                for _ in 0..PER_THREAD {
+                    c.inc();
+                }
+            });
         }
     });
     assert_eq!(c.get(), THREADS as u64 * PER_THREAD);

@@ -1,10 +1,9 @@
 //! Integration tests spanning data generation, noise injection,
 //! micro-clustering, and classification — the paper's full pipeline.
 
-use udm_classify::{
-    evaluate, evaluate_parallel, ClassifierConfig, DensityClassifier, NnClassifier,
-};
-use udm_core::ClassLabel;
+use std::collections::BTreeMap;
+use udm_classify::{evaluate, Classifier, ClassifierConfig, DensityClassifier, NnClassifier};
+use udm_core::{ClassLabel, UncertainDataset, UncertainPoint};
 use udm_data::{stratified_split, ErrorModel, UciDataset};
 
 /// Train/test split of a perturbed stand-in at error level `f`.
@@ -41,7 +40,6 @@ fn adjusted_and_unadjusted_identical_at_zero_error() {
     let adj = DensityClassifier::fit(&split.train, ClassifierConfig::error_adjusted(25)).unwrap();
     let unadj = DensityClassifier::fit(&split.train, ClassifierConfig::unadjusted(25)).unwrap();
     for p in split.test.iter() {
-        use udm_classify::Classifier;
         assert_eq!(adj.classify(p).unwrap(), unadj.classify(p).unwrap());
     }
 }
@@ -96,12 +94,33 @@ fn nn_collapses_with_noise_but_adjusted_does_not() {
 
 #[test]
 fn parallel_evaluation_matches_sequential_for_real_model() {
-    let split = noisy_split(UciDataset::BreastCancer, 250, 1.0, 13);
+    // `evaluate` splits sets of 32 points and more over the host's
+    // cores; 251 points split unevenly over any core count from 2 to 8.
+    let split = noisy_split(UciDataset::BreastCancer, 900, 1.0, 13);
     let model = DensityClassifier::fit(&split.train, ClassifierConfig::error_adjusted(20)).unwrap();
-    let seq = evaluate(&model, &split.test).unwrap();
-    let par = evaluate_parallel(&model, &split.test, 4).unwrap();
-    assert_eq!(seq.correct, par.correct);
-    assert_eq!(seq.confusion, par.confusion);
+    for n in [1, 31, 32, 33, 251] {
+        // Every fifth point is unlabelled, which `evaluate` skips.
+        let points: Vec<UncertainPoint> = split.test.points()[..n]
+            .iter()
+            .enumerate()
+            .map(|(i, p)| match i % 5 {
+                4 => UncertainPoint::new(p.values().to_vec(), p.errors().to_vec()).unwrap(),
+                _ => p.clone(),
+            })
+            .collect();
+        let mut tally: BTreeMap<(ClassLabel, ClassLabel), usize> = BTreeMap::new();
+        let mut correct = 0;
+        for p in &points {
+            let Some(actual) = p.label() else { continue };
+            let predicted = model.classify(p).unwrap();
+            correct += usize::from(predicted == actual);
+            *tally.entry((actual, predicted)).or_insert(0) += 1;
+        }
+        let report = evaluate(&model, &UncertainDataset::from_points(points).unwrap()).unwrap();
+        assert_eq!(report.n, tally.values().sum::<usize>(), "n = {n}");
+        assert_eq!(report.correct, correct, "n = {n}");
+        assert_eq!(report.confusion, tally, "n = {n}");
+    }
 }
 
 #[test]
@@ -109,7 +128,6 @@ fn classifier_is_deterministic() {
     let split = noisy_split(UciDataset::Adult, 300, 1.0, 17);
     let m1 = DensityClassifier::fit(&split.train, ClassifierConfig::error_adjusted(30)).unwrap();
     let m2 = DensityClassifier::fit(&split.train, ClassifierConfig::error_adjusted(30)).unwrap();
-    use udm_classify::Classifier;
     for p in split.test.iter().take(50) {
         assert_eq!(m1.classify(p).unwrap(), m2.classify(p).unwrap());
     }
@@ -121,7 +139,6 @@ fn multiclass_labels_all_reachable() {
     // model should predict more than just the two majority classes.
     let split = noisy_split(UciDataset::ForestCover, 800, 0.0, 19);
     let model = DensityClassifier::fit(&split.train, ClassifierConfig::error_adjusted(60)).unwrap();
-    use udm_classify::Classifier;
     let mut predicted: std::collections::BTreeSet<ClassLabel> = Default::default();
     for p in split.test.iter() {
         predicted.insert(model.classify(p).unwrap());
