@@ -5,13 +5,10 @@ use crate::eval::Classifier;
 use crate::rollup::{rollup, AccuracyOracle, DiscriminativeSubspace, RollupLimits};
 use crate::subspace_select::select_non_overlapping;
 use std::cell::OnceCell;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::collections::BTreeMap;
 use udm_core::{ClassLabel, Result, Subspace, UdmError, UncertainDataset, UncertainPoint};
-use udm_kde::backend::record_query;
 use udm_kde::{BackendSpec, KernelColumns};
-use udm_microcluster::{CoresetKde, MaintainerConfig, MicroClusterKde, MicroClusterMaintainer};
+use udm_microcluster::{MaintainerConfig, MicroClusterKde, MicroClusterMaintainer};
 
 /// A trained density-based classifier.
 ///
@@ -56,73 +53,6 @@ pub struct DensityClassifier {
     class_kdes: Vec<MicroClusterKde>,
     global_kde: MicroClusterKde,
     majority: ClassLabel,
-    runtime: BackendRuntime,
-}
-
-/// The coreset reductions of every KDE the accuracy ratio (Eq. 11)
-/// touches, all built at the same `eps`.
-#[derive(Debug)]
-struct CoresetSet {
-    global: MicroClusterKde,
-    per_class: Vec<MicroClusterKde>,
-}
-
-impl CoresetSet {
-    fn build(
-        global_kde: &MicroClusterKde,
-        class_kdes: &[MicroClusterKde],
-        eps: f64,
-    ) -> Result<Self> {
-        let reduce = |kde| CoresetKde::build(kde, eps).map(CoresetKde::into_inner);
-        Ok(CoresetSet {
-            global: reduce(global_kde)?,
-            per_class: class_kdes.iter().map(reduce).collect::<Result<Vec<_>>>()?,
-        })
-    }
-}
-
-/// Runtime-only backend selection state: the default [`BackendSpec`] and
-/// a cache of built coreset sets keyed by `eps` bits (the constructions
-/// are deterministic but not free, so each spec is built once per model;
-/// `Exact` reads the model's own KDEs and needs no entry).
-/// Interior mutability lets serving layers flip backends on a shared
-/// `Arc<DensityClassifier>`. Never serialized — models on disk stay
-/// backend-agnostic, and a restored model starts back at `Exact`.
-#[derive(Debug, Default)]
-struct BackendRuntime {
-    default_spec: Mutex<BackendSpec>,
-    cache: Mutex<HashMap<u64, Arc<CoresetSet>>>,
-}
-
-impl Clone for BackendRuntime {
-    fn clone(&self) -> Self {
-        // The cache holds derived state only; a clone re-derives lazily.
-        BackendRuntime {
-            default_spec: Mutex::new(self.spec()),
-            cache: Mutex::new(HashMap::new()),
-        }
-    }
-}
-
-impl BackendRuntime {
-    fn spec(&self) -> BackendSpec {
-        self.default_spec
-            .lock()
-            .map(|g| *g)
-            .unwrap_or(BackendSpec::Exact)
-    }
-}
-
-impl serde::Serialize for BackendRuntime {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
-    }
-}
-
-impl serde::Deserialize for BackendRuntime {
-    fn from_value(_: &serde::Value) -> std::result::Result<Self, serde::DeError> {
-        Ok(BackendRuntime::default())
-    }
 }
 
 /// Everything the classifier can report about one decision.
@@ -150,10 +80,6 @@ struct ColumnSet {
 
 struct KdeOracle<'a> {
     model: &'a DensityClassifier,
-    /// The mixtures every evaluation reads: the model's own KDEs under
-    /// `Exact`, their cached coreset reductions under `coreset:EPS`.
-    global: &'a MicroClusterKde,
-    per_class: &'a [MicroClusterKde],
     query: &'a [f64],
     /// The test point's own per-dimension error ψ(x). The paper's Figure 1
     /// motivates classifying by what the test example *could* coincide
@@ -181,8 +107,13 @@ impl KdeOracle<'_> {
                 let build =
                     |kde: &MicroClusterKde| kde.kernel_columns(self.query, self.query_errors);
                 Ok(ColumnSet {
-                    global: build(self.global)?,
-                    per_class: self.per_class.iter().map(build).collect::<Result<_>>()?,
+                    global: build(&self.model.global_kde)?,
+                    per_class: self
+                        .model
+                        .class_kdes
+                        .iter()
+                        .map(build)
+                        .collect::<Result<_>>()?,
                 })
             })
             .as_ref()
@@ -297,7 +228,6 @@ impl DensityClassifier {
             class_kdes,
             global_kde,
             majority: majority.0,
-            runtime: BackendRuntime::default(),
         })
     }
 
@@ -349,80 +279,20 @@ impl DensityClassifier {
         }
     }
 
-    /// The runtime-selected default density backend spec (starts at
-    /// `Exact`; never persisted with the model).
-    pub fn backend_spec(&self) -> BackendSpec {
-        self.runtime.spec()
-    }
-
-    /// Selects the density backend every subsequent query evaluates
-    /// through. Interior mutability: works on a shared
-    /// `Arc<DensityClassifier>`, so a serving layer can flip backends
-    /// without refitting. A coreset set is built eagerly so
-    /// construction errors surface here rather than per query.
-    ///
-    /// # Errors
-    ///
-    /// Spec validation or coreset construction failures; the previous
-    /// default stays in effect on error.
-    pub fn set_backend(&self, spec: BackendSpec) -> Result<()> {
-        if let BackendSpec::Coreset { eps } = spec {
-            self.coresets_for(eps)?;
-        }
-        if let Ok(mut guard) = self.runtime.default_spec.lock() {
-            *guard = spec;
-        }
+    /// Kept only because the perf ledger calls it; always `Ok(())`.
+    pub fn set_backend(&self, _spec: BackendSpec) -> Result<()> {
         Ok(())
     }
 
-    /// The cached coreset set at `eps`, building (and validating) it on
-    /// first use.
-    fn coresets_for(&self, eps: f64) -> Result<Arc<CoresetSet>> {
-        let key = eps.to_bits();
-        if let Ok(cache) = self.runtime.cache.lock() {
-            if let Some(set) = cache.get(&key) {
-                return Ok(Arc::clone(set));
-            }
-        }
-        let built = Arc::new(CoresetSet::build(&self.global_kde, &self.class_kdes, eps)?);
-        if let Ok(mut cache) = self.runtime.cache.lock() {
-            cache.insert(key, Arc::clone(&built));
-        }
-        Ok(built)
-    }
-
-    /// Runs `answer` against an oracle for `x` over the mixtures `spec`
-    /// selects — the model's own KDEs for `Exact`, the cached coreset
-    /// set for `coreset:EPS` — and records an answered query under the
-    /// backend's metrics.
-    fn with_oracle<R>(
-        &self,
-        x: &UncertainPoint,
-        spec: &BackendSpec,
-        answer: impl FnOnce(&KdeOracle<'_>) -> Result<R>,
-    ) -> Result<R> {
-        let started = Instant::now();
-        let coresets;
-        let (global, per_class) = match *spec {
-            BackendSpec::Exact => (&self.global_kde, self.class_kdes.as_slice()),
-            BackendSpec::Coreset { eps } => {
-                coresets = self.coresets_for(eps)?;
-                (&coresets.global, coresets.per_class.as_slice())
-            }
-        };
-        let oracle = KdeOracle {
+    /// The Eq. 11 oracle for `x`, reading the model's own KDEs; its
+    /// kernel-column caches are built on first use.
+    fn oracle<'a>(&'a self, x: &'a UncertainPoint) -> KdeOracle<'a> {
+        KdeOracle {
             model: self,
-            global,
-            per_class,
             query: x.values(),
             query_errors: self.query_errors_of(x),
             columns: OnceCell::new(),
-        };
-        let out = answer(&oracle);
-        if out.is_ok() {
-            record_query(spec, started.elapsed().as_secs_f64());
         }
-        out
     }
 
     /// The local accuracy `A(x, S, l)` (Eq. 11) — exposed for inspection
@@ -438,9 +308,7 @@ impl DensityClassifier {
             .iter()
             .position(|&l| l == label)
             .ok_or(UdmError::UnknownLabel(label.id()))?;
-        self.with_oracle(x, &self.runtime.spec(), |oracle| {
-            Ok(oracle.accuracies(subspace)?[idx])
-        })
+        Ok(self.oracle(x).accuracies(subspace)?[idx])
     }
 
     /// Class scores for a point: the full-space local accuracies
@@ -454,7 +322,7 @@ impl DensityClassifier {
                 actual: x.dim(),
             });
         }
-        self.with_oracle(x, &self.runtime.spec(), |oracle| self.scores_from(oracle))
+        self.scores_from(&self.oracle(x))
     }
 
     /// Full-space normalized scores from an already-built oracle, so the
@@ -489,7 +357,7 @@ impl DensityClassifier {
         udm_core::num::ensure_finite_slice("query point values", x.values())?;
         udm_core::num::ensure_finite_slice("query point errors", x.errors())?;
         let _span_point = udm_observe::span!("classify_point");
-        self.with_oracle(x, &self.runtime.spec(), |oracle| self.decide(oracle))
+        self.decide(&self.oracle(x))
     }
 
     /// Classifies a point and reports the normalized full-space class
@@ -509,23 +377,6 @@ impl DensityClassifier {
         &self,
         x: &UncertainPoint,
     ) -> Result<(ClassificationOutcome, Vec<(ClassLabel, f64)>)> {
-        self.classify_scored_with_backend(x, &self.runtime.spec())
-    }
-
-    /// Like [`DensityClassifier::classify_scored`], but evaluates every
-    /// density through the backend selected by `spec` for this call
-    /// only — the runtime default is untouched. Serving layers use this
-    /// for per-request backend overrides.
-    ///
-    /// # Errors
-    ///
-    /// As [`DensityClassifier::classify_scored`], plus spec validation
-    /// and coreset construction failures.
-    pub fn classify_scored_with_backend(
-        &self,
-        x: &UncertainPoint,
-        spec: &BackendSpec,
-    ) -> Result<(ClassificationOutcome, Vec<(ClassLabel, f64)>)> {
         if x.dim() != self.dim {
             return Err(UdmError::DimensionMismatch {
                 expected: self.dim,
@@ -535,9 +386,8 @@ impl DensityClassifier {
         udm_core::num::ensure_finite_slice("query point values", x.values())?;
         udm_core::num::ensure_finite_slice("query point errors", x.errors())?;
         let _span_point = udm_observe::span!("classify_point");
-        self.with_oracle(x, spec, |oracle| {
-            Ok((self.decide(oracle)?, self.scores_from(oracle)?))
-        })
+        let oracle = self.oracle(x);
+        Ok((self.decide(&oracle)?, self.scores_from(&oracle)?))
     }
 
     /// The subspace roll-up decision from an already-built oracle.
@@ -869,121 +719,123 @@ mod tests {
 
     #[test]
     fn exact_backend_default_is_bit_identical_to_pre_trait_path() {
-        // The trait refactor must not move a single bit: the default
-        // (Exact) backend and an explicit Exact override both reproduce
-        // the direct-KDE decision and scores exactly.
+        // `set_backend(Exact)` is a no-op: every query reads the fitted
+        // mixture before and after it, bit for bit.
         let g = informative_mixture();
         let train = g.generate(400, 110);
         let test = ErrorModel::paper(1.0)
             .apply(&g.generate(40, 111), 112)
             .unwrap();
         let model = DensityClassifier::fit(&train, ClassifierConfig::error_adjusted(40)).unwrap();
-        assert_eq!(model.backend_spec(), BackendSpec::Exact);
-        for p in test.iter() {
-            let (default_out, default_scores) = model.classify_scored(p).unwrap();
-            let (exact_out, exact_scores) = model
-                .classify_scored_with_backend(p, &BackendSpec::Exact)
-                .unwrap();
-            assert_eq!(default_out, exact_out);
-            for ((la, sa), (lb, sb)) in default_scores.iter().zip(exact_scores.iter()) {
+        let before: Vec<_> = test
+            .iter()
+            .map(|p| model.classify_scored(p).unwrap())
+            .collect();
+        model.set_backend(BackendSpec::Exact).unwrap();
+        for (p, (want_out, want_scores)) in test.iter().zip(&before) {
+            let (out, scores) = model.classify_scored(p).unwrap();
+            assert_eq!(&out, want_out);
+            for ((la, sa), (lb, sb)) in scores.iter().zip(want_scores) {
                 assert_eq!(la, lb);
                 assert_eq!(sa.to_bits(), sb.to_bits());
             }
         }
     }
 
+    /// The literal decision rule at f = 2: the error-adjusted roll-up
+    /// gives the majority class to at least 96% of the test points on
+    /// every stand-in and seed, and its balanced accuracy sits near
+    /// 1/k. Each row pins the means over seeds 7, 11 and 13 of
+    /// accuracy, balanced accuracy and majority share to within `BAND`,
+    /// so a change to the rule has to move these pins on purpose.
     #[test]
-    fn coreset_labels_agree_with_exact_on_every_standin() {
-        // Eq. 11 is a ratio of densities, so the coreset's absolute L∞
-        // certificate does not bound the decision: agreement with exact
-        // is measured here, not certified.
-        for ds in UciDataset::ALL {
-            let noisy = ErrorModel::paper(1.2)
-                .apply(&ds.generate(500, 150), 151)
-                .unwrap();
-            let split = stratified_split(&noisy, 0.3, 152).unwrap();
-            let q = if ds == UciDataset::ForestCover {
-                140
-            } else {
-                60
-            };
-            let mut config = ClassifierConfig::error_adjusted(q);
-            if ds == UciDataset::Ionosphere {
-                // The full 34-dim roll-up visits ~12.7k subspaces per
-                // point, too slow for a debug-profile unit test; pairs
-                // still read the ratio on marginals.
-                config.max_subspace_dim = Some(2);
-            }
-            let model = DensityClassifier::fit(&split.train, config).unwrap();
-            let exact: Vec<ClassLabel> = split
-                .test
-                .iter()
-                .map(|p| model.classify(p).unwrap())
-                .collect();
-            for eps in [0.05, 0.1] {
-                let spec = BackendSpec::Coreset { eps };
-                // Agreement means nothing if the coreset kept every row.
-                let kept = model.coresets_for(eps).unwrap().global.num_pseudo_points();
+    fn majority_collapse_is_pinned_on_every_standin() {
+        const BAND: f64 = 0.01;
+        // (stand-in, error-adjusted, accuracy, balanced, majority share)
+        let pins = [
+            (UciDataset::Adult, true, 0.7645, 0.5095, 0.9955),
+            (UciDataset::Adult, false, 0.7244, 0.4955, 0.9378),
+            (UciDataset::Ionosphere, true, 0.6156, 0.5, 1.0),
+            (UciDataset::Ionosphere, false, 0.6156, 0.5, 1.0),
+            (UciDataset::BreastCancer, true, 0.66, 0.5063, 0.9889),
+            (UciDataset::BreastCancer, false, 0.6733, 0.5429, 0.9267),
+            (UciDataset::ForestCover, true, 0.4977, 0.1582, 0.9888),
+            (UciDataset::ForestCover, false, 0.4978, 0.1641, 0.8754),
+        ];
+        for (ds, adjusted, accuracy, balanced, majority) in pins {
+            let mut means = [0.0; 3];
+            for seed in [7u64, 11, 13] {
+                let noisy = ErrorModel::paper(2.0)
+                    .apply(&ds.generate(500, seed), seed + 100)
+                    .unwrap();
+                let split = stratified_split(&noisy, 0.3, seed + 200).unwrap();
+                let q = if ds == UciDataset::ForestCover {
+                    140
+                } else {
+                    60
+                };
+                let mut config = if adjusted {
+                    ClassifierConfig::error_adjusted(q)
+                } else {
+                    ClassifierConfig::unadjusted(q)
+                };
+                if ds == UciDataset::Ionosphere {
+                    // The full 34-dim roll-up visits ~12.7k subspaces
+                    // per point, too slow for a debug-profile unit test.
+                    config.max_subspace_dim = Some(2);
+                }
+                let model = DensityClassifier::fit(&split.train, config).unwrap();
+                let r = crate::eval::evaluate(&model, &split.test).unwrap();
+                let got = [r.accuracy(), r.balanced_accuracy(), r.majority_share()];
                 assert!(
-                    kept < model.global_kde.num_pseudo_points(),
-                    "{} {spec}: nothing merged",
+                    !adjusted || got[2] >= 0.96,
+                    "{} seed {seed}: adjusted majority share {}",
+                    ds.name(),
+                    got[2]
+                );
+                for (mean, v) in means.iter_mut().zip(got) {
+                    *mean += v / 3.0;
+                }
+            }
+            for (name, got, want) in [
+                ("accuracy", means[0], accuracy),
+                ("balanced accuracy", means[1], balanced),
+                ("majority share", means[2], majority),
+            ] {
+                assert!(
+                    (got - want).abs() <= BAND,
+                    "{} adjusted={adjusted}: {name} {got:.4}, pinned {want}",
                     ds.name()
                 );
-                let agree = split
-                    .test
-                    .iter()
-                    .zip(&exact)
-                    .filter(|(p, &label)| {
-                        model
-                            .classify_scored_with_backend(p, &spec)
-                            .unwrap()
-                            .0
-                            .label
-                            == label
-                    })
-                    .count();
-                let rate = agree as f64 / split.test.len() as f64;
-                assert!(rate > 0.9, "{} {spec}: agreement {rate}", ds.name());
             }
         }
     }
 
     #[test]
-    fn set_backend_flips_default_and_survives_clone_not_json() {
-        let g = informative_mixture();
-        let train = g.generate(300, 130);
-        let model = DensityClassifier::fit(&train, ClassifierConfig::error_adjusted(30)).unwrap();
-        model
-            .set_backend(BackendSpec::Coreset { eps: 0.1 })
-            .unwrap();
-        assert_eq!(model.backend_spec(), BackendSpec::Coreset { eps: 0.1 });
-        // The spec follows a clone (runtime state copies, cache rebuilds)…
-        assert_eq!(
-            model.clone().backend_spec(),
-            BackendSpec::Coreset { eps: 0.1 }
-        );
-        // …but not serialization: persisted models are backend-agnostic.
-        let restored = DensityClassifier::from_json(&model.to_json().unwrap()).unwrap();
-        assert_eq!(restored.backend_spec(), BackendSpec::Exact);
-        // Invalid specs are rejected and leave the default untouched.
-        assert!(model
-            .set_backend(BackendSpec::Coreset { eps: 7.0 })
-            .is_err());
-        assert_eq!(model.backend_spec(), BackendSpec::Coreset { eps: 0.1 });
-    }
-
-    #[test]
-    fn backend_runtime_does_not_change_serialized_form() {
-        // `parallel_fit_equals_sequential_fit` compares JSON strings; the
-        // runtime field must serialize identically (Null) on every model.
+    fn models_saved_with_a_runtime_field_still_load() {
+        // Models saved while the classifier carried runtime backend
+        // state end in `,"runtime":null}`; they load and answer bit for
+        // bit like the fitted model.
         let g = informative_mixture();
         let train = g.generate(200, 140);
         let model = DensityClassifier::fit(&train, ClassifierConfig::error_adjusted(20)).unwrap();
-        let before = model.to_json().unwrap();
-        model
-            .set_backend(BackendSpec::Coreset { eps: 0.2 })
+        let json = model.to_json().unwrap();
+        let saved = format!("{},\"runtime\":null}}", json.strip_suffix('}').unwrap());
+        let restored = DensityClassifier::from_json(&saved).unwrap();
+        assert_eq!(restored.to_json().unwrap(), json);
+        let test = ErrorModel::paper(1.0)
+            .apply(&g.generate(40, 141), 142)
             .unwrap();
-        assert_eq!(model.to_json().unwrap(), before);
+        for p in test.iter() {
+            let (want, want_scores) = model.classify_scored(p).unwrap();
+            let (got, got_scores) = restored.classify_scored(p).unwrap();
+            assert_eq!(got, want);
+            assert_eq!(got_scores.len(), want_scores.len());
+            for ((la, sa), (lb, sb)) in got_scores.iter().zip(&want_scores) {
+                assert_eq!(la, lb);
+                assert_eq!(sa.to_bits(), sb.to_bits(), "score drift for {la:?}");
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,6 @@
 use std::path::PathBuf;
 use udm_core::{Result, UdmError};
 use udm_data::UciDataset;
-use udm_kde::BackendSpec;
 
 /// A fully parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,8 +62,6 @@ pub enum Command {
         unadjusted: bool,
         /// Use the nearest-neighbor baseline instead.
         nn: bool,
-        /// Density backend (`exact | coreset:EPS`).
-        backend: BackendSpec,
     },
     /// Convert a raw UCI repository file to the canonical CSV layout
     /// (imputing marked-missing cells with error tracking).
@@ -128,8 +125,6 @@ pub enum Command {
         /// and demand a bit-identical merged model, then take it
         /// permanently down and report degraded coverage.
         kill_shard: Option<usize>,
-        /// Density backend used by the drilled classifiers.
-        backend: BackendSpec,
     },
     /// Run the long-lived serving daemon over a training CSV.
     Serve {
@@ -161,8 +156,6 @@ pub enum Command {
         /// Sleep between ingest chunks in milliseconds (chaos-drill
         /// hook: holds the pump mid-stream so a kill can land there).
         ingest_delay_ms: u64,
-        /// Density backend published with every snapshot.
-        backend: BackendSpec,
     },
     /// Export the in-process telemetry registry.
     Metrics {
@@ -262,11 +255,6 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<
 /// error `ErrorModel::paper` would raise.
 fn parse_error_level(value: Option<String>) -> Result<f64> {
     udm_core::error::ensure_non_negative("error level f", parse_num("--f", value)?)
-}
-
-fn parse_backend(value: Option<String>) -> Result<BackendSpec> {
-    let raw = value.ok_or_else(|| invalid("--backend needs exact | coreset:EPS"))?;
-    BackendSpec::parse(&raw)
 }
 
 fn parse_f64_list(flag: &str, value: Option<String>) -> Result<Vec<f64>> {
@@ -405,7 +393,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command> {
             let mut threshold = 0.55;
             let mut unadjusted = false;
             let mut nn = false;
-            let mut backend = BackendSpec::Exact;
             while let Some(flag) = it.next() {
                 match flag.as_str() {
                     "--train" => {
@@ -422,7 +409,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command> {
                     "--threshold" => threshold = parse_num("--threshold", it.next())?,
                     "--unadjusted" => unadjusted = true,
                     "--nn" => nn = true,
-                    "--backend" => backend = parse_backend(it.next())?,
                     other => return Err(invalid(format!("unknown flag {other:?}"))),
                 }
             }
@@ -436,7 +422,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command> {
                 threshold,
                 unadjusted,
                 nn,
-                backend,
             })
         }
         "convert" => {
@@ -552,7 +537,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command> {
             let mut bound = None;
             let mut shards = 1;
             let mut kill_shard = None;
-            let mut backend = BackendSpec::Exact;
             while let Some(flag) = it.next() {
                 match flag.as_str() {
                     "--n" => n = parse_num("--n", it.next())?,
@@ -564,7 +548,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command> {
                     "--bound" => bound = Some(parse_num("--bound", it.next())?),
                     "--shards" => shards = parse_num("--shards", it.next())?,
                     "--kill-shard" => kill_shard = Some(parse_num("--kill-shard", it.next())?),
-                    "--backend" => backend = parse_backend(it.next())?,
                     other => return Err(invalid(format!("unknown flag {other:?}"))),
                 }
             }
@@ -601,7 +584,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command> {
                 bound,
                 shards,
                 kill_shard,
-                backend,
             })
         }
         "serve" => {
@@ -618,7 +600,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command> {
             let mut min_coverage: f64 = 1.0;
             let mut max_seconds = None;
             let mut ingest_delay_ms = 0;
-            let mut backend = BackendSpec::Exact;
             while let Some(flag) = it.next() {
                 match flag.as_str() {
                     "--train" => {
@@ -651,7 +632,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command> {
                     "--ingest-delay-ms" => {
                         ingest_delay_ms = parse_num("--ingest-delay-ms", it.next())?
                     }
-                    "--backend" => backend = parse_backend(it.next())?,
                     other => return Err(invalid(format!("unknown flag {other:?}"))),
                 }
             }
@@ -678,7 +658,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command> {
                 min_coverage,
                 max_seconds,
                 ingest_delay_ms,
-                backend,
             })
         }
         "metrics" => {
@@ -920,7 +899,6 @@ mod tests {
                 bound,
                 shards,
                 kill_shard,
-                backend,
             } => {
                 assert_eq!(dataset, UciDataset::BreastCancer);
                 assert_eq!(n, 400);
@@ -932,7 +910,6 @@ mod tests {
                 assert!(bound.is_none());
                 assert_eq!(shards, 1);
                 assert!(kill_shard.is_none());
-                assert_eq!(backend, BackendSpec::Exact);
             }
             _ => panic!("wrong command"),
         }
@@ -1030,7 +1007,6 @@ mod tests {
                 min_coverage,
                 max_seconds,
                 ingest_delay_ms,
-                backend,
             } => {
                 assert_eq!(train, PathBuf::from("t.csv"));
                 assert_eq!(addr, "127.0.0.1:8787");
@@ -1045,7 +1021,6 @@ mod tests {
                 assert_eq!(min_coverage, 1.0);
                 assert!(max_seconds.is_none());
                 assert_eq!(ingest_delay_ms, 0);
-                assert_eq!(backend, BackendSpec::Exact);
             }
             _ => panic!("wrong command"),
         }
@@ -1106,73 +1081,24 @@ mod tests {
     }
 
     #[test]
-    fn backend_flag_parses_on_classify_chaos_and_serve() {
-        let c = parse(&[
-            "classify",
-            "--train",
-            "a.csv",
-            "--test",
-            "b.csv",
-            "--backend",
-            "coreset:0.05",
-        ])
-        .unwrap();
-        match c {
-            Command::Classify { backend, .. } => {
-                assert_eq!(backend, BackendSpec::Coreset { eps: 0.05 });
+    fn backend_flag_is_unknown_on_classify_chaos_and_serve() {
+        let invocations: [&[&str]; 3] = [
+            &["classify", "--train", "a.csv", "--test", "b.csv"],
+            &["chaos", "adult"],
+            &["serve", "--train", "t.csv", "--state-dir", "/tmp/s"],
+        ];
+        for argv in invocations {
+            assert!(parse(argv).is_ok(), "{argv:?}");
+            for spec in ["exact", "coreset:0.1", "hbe:0.2"] {
+                let with_flag: Vec<&str> =
+                    argv.iter().copied().chain(["--backend", spec]).collect();
+                let err = parse(&with_flag).unwrap_err().to_string();
+                assert!(
+                    err.contains("unknown flag \"--backend\""),
+                    "{with_flag:?}: {err}"
+                );
             }
-            _ => panic!("wrong command"),
         }
-        let c = parse(&["chaos", "adult", "--backend", "coreset:0.2"]).unwrap();
-        match c {
-            Command::Chaos { backend, .. } => {
-                assert_eq!(backend, BackendSpec::Coreset { eps: 0.2 });
-            }
-            _ => panic!("wrong command"),
-        }
-        // The removed hashing-based specs fail cleanly, naming the grammar.
-        for removed in ["hbe:0.2", "hbe:0.2,0.05"] {
-            let err = parse(&["chaos", "adult", "--backend", removed])
-                .unwrap_err()
-                .to_string();
-            assert!(err.contains("exact | coreset:EPS"), "{removed}: {err}");
-        }
-        let c = parse(&[
-            "serve",
-            "--train",
-            "t.csv",
-            "--state-dir",
-            "/tmp/s",
-            "--backend",
-            "exact",
-        ])
-        .unwrap();
-        match c {
-            Command::Serve { backend, .. } => assert_eq!(backend, BackendSpec::Exact),
-            _ => panic!("wrong command"),
-        }
-        // Malformed or out-of-range specs are rejected at parse time.
-        assert!(parse(&[
-            "classify",
-            "--train",
-            "a",
-            "--test",
-            "b",
-            "--backend",
-            "fft"
-        ])
-        .is_err());
-        assert!(parse(&[
-            "classify",
-            "--train",
-            "a",
-            "--test",
-            "b",
-            "--backend",
-            "coreset:2.0"
-        ])
-        .is_err());
-        assert!(parse(&["chaos", "adult", "--backend"]).is_err());
     }
 
     #[test]

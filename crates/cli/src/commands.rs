@@ -33,7 +33,6 @@ USAGE:
                [--q Q] [--unadjusted] [--grid LO:HI:N]
   udm classify  --train TRAIN.csv --test TEST.csv
                [--q Q] [--threshold A] [--unadjusted | --nn]
-               [--backend exact|coreset:EPS]
   udm cluster   <data.csv> (--k K | --dbscan EPS,MINPTS)
                [--euclidean] [--seed S]
   udm convert   <adult|ionosphere|breast_cancer|forest_cover> RAW_FILE
@@ -42,13 +41,12 @@ USAGE:
   udm chaos     <adult|ionosphere|breast_cancer|forest_cover>
                [--n N] [--f F] [--q Q] [--threshold A]
                [--rates R1,R2,...] [--seed S] [--bound B]
-               [--shards S] [--kill-shard K] [--backend SPEC]
+               [--shards S] [--kill-shard K]
   udm serve     --train TRAIN.csv --state-dir DIR [--addr HOST:PORT]
                [--q Q] [--threshold A] [--shards S]
                [--checkpoint-every N] [--refresh-every N]
                [--batch-window-ms MS] [--no-batch] [--min-coverage C]
                [--max-seconds T] [--ingest-delay-ms MS]
-               [--backend SPEC]
   udm metrics   [--format prom|json|table] [--out FILE]
   udm help
 
@@ -361,7 +359,6 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<()> {
             threshold,
             unadjusted,
             nn,
-            backend,
         } => {
             let _span_cmd = udm_observe::span!("cli_classify");
             let (train_data, test_data) = {
@@ -383,7 +380,6 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<()> {
                     let _span_fit = udm_observe::span!("fit");
                     DensityClassifier::fit(&train_data, config)?
                 };
-                model.set_backend(backend)?;
                 let _span_eval = udm_observe::span!("evaluate");
                 evaluate(&model, &test_data)?
             };
@@ -395,9 +391,6 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<()> {
                 "density (error-adjusted)"
             };
             writeln!(out, "classifier : {kind}")?;
-            if !nn {
-                writeln!(out, "backend    : {backend}")?;
-            }
             writeln!(out, "test points: {}", report.n)?;
             writeln!(out, "accuracy   : {:.4}", report.accuracy())?;
             writeln!(
@@ -516,7 +509,6 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<()> {
             bound,
             shards,
             kill_shard,
-            backend,
         } => {
             let _span_cmd = udm_observe::span!("cli_chaos");
             let synthesize = |rows: usize, s: u64| -> Result<UncertainDataset> {
@@ -533,11 +525,10 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<()> {
             let mut config = ClassifierConfig::error_adjusted(q);
             config.accuracy_threshold = threshold;
             let clean_model = DensityClassifier::fit(&train, config)?;
-            clean_model.set_backend(backend)?;
             let clean = evaluate(&clean_model, &test)?;
             writeln!(
                 out,
-                "chaos drill on {} ({} train / {} test rows, f={f}, q={q}, backend={backend})",
+                "chaos drill on {} ({} train / {} test rows, f={f}, q={q})",
                 dataset.name(),
                 train.len(),
                 test.len()
@@ -555,7 +546,6 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<()> {
                 };
                 let (survivor_set, counters, faults) = survivors_of(&train, &setup)?;
                 let model = DensityClassifier::fit(&survivor_set, config)?;
-                model.set_backend(backend)?;
                 let degraded = evaluate(&model, &test)?;
                 let report = DegradationReport {
                     fault_rate: *rate,
@@ -600,7 +590,6 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<()> {
             min_coverage,
             max_seconds,
             ingest_delay_ms,
-            backend,
         } => {
             let started = std::time::Instant::now();
             let data = load(&train)?;
@@ -637,7 +626,6 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<()> {
             config.max_clusters = q;
             config.min_coverage = min_coverage;
             config.chunk_delay = std::time::Duration::from_millis(ingest_delay_ms);
-            config.backend = backend;
             config.batch = if no_batch {
                 None
             } else {
@@ -658,7 +646,7 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<()> {
             writeln!(out, "listening on http://{}", server.addr())?;
             writeln!(
                 out,
-                "{} start over {} ({} records, {} shards, classifier: {}, backend: {backend})",
+                "{} start over {} ({} records, {} shards, classifier: {})",
                 if server.warm { "warm" } else { "cold" },
                 state_dir.display(),
                 data.len(),

@@ -38,6 +38,28 @@ fn unknown_subcommand_exits_2_with_stderr() {
 }
 
 #[test]
+fn backend_flag_exits_2_as_unknown_flag() {
+    let invocations: [&[&str]; 3] = [
+        &["classify", "--train", "a.csv", "--test", "b.csv"],
+        &["chaos", "breast_cancer"],
+        &["serve", "--train", "t.csv", "--state-dir", "unused-state"],
+    ];
+    for argv in invocations {
+        let out = udm()
+            .args(argv)
+            .args(["--backend", "exact"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{argv:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.contains("unknown flag \"--backend\""),
+            "{argv:?}: {err}"
+        );
+    }
+}
+
+#[test]
 fn runtime_failure_exits_1() {
     let out = udm()
         .args(["density", "/nonexistent/file.csv", "--at", "0"])

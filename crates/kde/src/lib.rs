@@ -20,9 +20,8 @@
 //!
 //! Provided here:
 //!
-//! * [`backend`] — the `exact | coreset:EPS` [`BackendSpec`] every
-//!   density consumer selects its micro-cluster mixture through, and the
-//!   per-backend query metrics,
+//! * [`backend`] — [`BackendSpec`], whose one value `Exact` the perf
+//!   ledger still names,
 //! * [`kernel`] — classic kernel functions (Gaussian, Epanechnikov, …),
 //! * [`error_kernel`] — the paper's error-based Gaussian kernel (Eq. 3) in
 //!   both paper-faithful and renormalized forms,

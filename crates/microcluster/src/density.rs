@@ -22,8 +22,7 @@
 //! every cached density is tested against bit for bit.
 //!
 //! Every constructor — [`MicroClusterKde::fit`],
-//! [`MicroClusterKde::fit_with_bandwidths`],
-//! [`MicroClusterKde::from_pseudo_points`] and deserialization — checks
+//! [`MicroClusterKde::fit_with_bandwidths`] and deserialization — checks
 //! the mixture's parts, so a malformed model is an error, never a panic
 //! or a point-mass kernel.
 
@@ -131,7 +130,9 @@ impl MicroClusterKde {
     /// [`UdmError::EmptyDataset`] when `clusters` is empty or all empty;
     /// [`UdmError::DimensionMismatch`] on ragged dimensionality;
     /// [`UdmError::InvalidValue`] when a fitted part is out of its
-    /// domain (see [`Self::from_pseudo_points`]).
+    /// domain: a bandwidth that is not finite and positive with
+    /// `h·h > 0`, a non-finite centroid, or a negative or non-finite
+    /// spread `Δ`.
     pub fn fit(clusters: &[MicroCluster], config: KdeConfig) -> Result<Self> {
         let non_empty: Vec<&MicroCluster> = clusters.iter().filter(|c| !c.is_empty()).collect();
         let first = non_empty.first().ok_or(UdmError::EmptyDataset)?;
@@ -169,8 +170,8 @@ impl MicroClusterKde {
     ///
     /// # Errors
     ///
-    /// As [`Self::fit`], plus the bandwidth checks of
-    /// [`Self::from_pseudo_points`].
+    /// As [`Self::fit`], plus [`UdmError::DimensionMismatch`] on a
+    /// wrong-arity bandwidth vector.
     pub fn fit_with_bandwidths(
         clusters: &[MicroCluster],
         bandwidths: Vec<f64>,
@@ -186,38 +187,6 @@ impl MicroClusterKde {
             total_n += c.n();
             pseudos.push(PseudoPoint::from_cluster(c, error_adjusted)?);
         }
-        Self::checked(
-            pseudos,
-            bandwidths,
-            GaussianErrorKernel::new(form),
-            total_n,
-            dim,
-        )
-    }
-
-    /// Builds an estimator directly from pseudo-points — the entry the
-    /// coreset backend uses to wrap a *reduced* pseudo-point set in the
-    /// same (columnar-cached) evaluation machinery as a fitted model.
-    ///
-    /// `total_n` is the original point count `N` the mixture normalizes
-    /// by; pseudo-point weights may sum to less when a reduction merged
-    /// or dropped mass — the caller owns that accounting.
-    ///
-    /// # Errors
-    ///
-    /// [`UdmError::EmptyDataset`] on an empty pseudo-point set or
-    /// `total_n == 0`; [`UdmError::DimensionMismatch`] on ragged
-    /// pseudo-points or a wrong-arity bandwidth vector;
-    /// [`UdmError::InvalidValue`] on a bandwidth that is not finite and
-    /// positive with `h·h > 0`, or on a non-finite centroid or a
-    /// negative or non-finite spread `Δ`.
-    pub fn from_pseudo_points(
-        pseudos: Vec<PseudoPoint>,
-        bandwidths: Vec<f64>,
-        form: ErrorKernelForm,
-        total_n: u64,
-    ) -> Result<Self> {
-        let dim = pseudos.first().ok_or(UdmError::EmptyDataset)?.dim();
         Self::checked(
             pseudos,
             bandwidths,
@@ -841,19 +810,25 @@ mod tests {
 
     #[test]
     fn from_pseudo_points_checks_every_part() {
+        // `checked` is the one check every constructor and
+        // deserialization share; the mixture's dimensionality comes from
+        // its first pseudo-point here.
         let good = fitted_2d();
         let pseudos = good.pseudo_points().to_vec();
         let hs = good.bandwidths().to_vec();
         let n = good.total_points();
-        let form = ErrorKernelForm::Normalized;
-        assert!(MicroClusterKde::from_pseudo_points(pseudos.clone(), hs.clone(), form, n).is_ok());
-        assert!(MicroClusterKde::from_pseudo_points(vec![], hs.clone(), form, n).is_err());
-        assert!(MicroClusterKde::from_pseudo_points(pseudos.clone(), hs.clone(), form, 0).is_err());
+        let check = |pseudos: Vec<PseudoPoint>, hs: Vec<f64>, n: u64| {
+            let dim = pseudos.first().map_or(good.dim(), PseudoPoint::dim);
+            MicroClusterKde::checked(pseudos, hs, good.kernel, n, dim)
+        };
+        assert!(check(pseudos.clone(), hs.clone(), n).is_ok());
+        assert!(check(vec![], hs.clone(), n).is_err());
+        assert!(check(pseudos.clone(), hs.clone(), 0).is_err());
         // h·h underflows to 0: a point-mass kernel wherever Δ = 0.
         for h in [0.0, -1.0, 1e-200, f64::NAN, f64::INFINITY] {
             let bad = vec![hs[0], h];
             assert!(
-                MicroClusterKde::from_pseudo_points(pseudos.clone(), bad, form, n).is_err(),
+                check(pseudos.clone(), bad, n).is_err(),
                 "bandwidth {h} accepted"
             );
         }
@@ -867,19 +842,65 @@ mod tests {
             bad[0].centroid[1] = centroid;
             bad[0].delta[1] = spread;
             assert!(
-                MicroClusterKde::from_pseudo_points(bad, hs.clone(), form, n).is_err(),
+                check(bad, hs.clone(), n).is_err(),
                 "centroid {centroid}, spread {spread} accepted"
             );
         }
         let mut ragged = pseudos.clone();
         ragged[0].delta.pop();
-        assert!(MicroClusterKde::from_pseudo_points(ragged, hs.clone(), form, n).is_err());
+        assert!(check(ragged, hs.clone(), n).is_err());
         let empty_dim = vec![PseudoPoint {
             centroid: vec![],
             delta: vec![],
             weight: 1,
         }];
-        assert!(MicroClusterKde::from_pseudo_points(empty_dim, vec![], form, n).is_err());
+        assert!(check(empty_dim, vec![], n).is_err());
+    }
+
+    #[test]
+    fn fitted_mixture_validates_inputs() {
+        let mc = fitted_2d();
+        let full = Subspace::full(2).unwrap();
+        assert!(mc.density(&[0.0]).is_err(), "arity unchecked");
+        assert!(
+            mc.kernel_columns(&[0.0], None).is_err(),
+            "column arity unchecked"
+        );
+        assert!(
+            mc.density_subspace_with_error(&[f64::NAN, 0.0], None, full)
+                .is_err(),
+            "NaN unchecked"
+        );
+        assert!(
+            mc.kernel_columns(&[f64::NAN, 0.0], None).is_err(),
+            "column NaN unchecked"
+        );
+        assert!(
+            mc.density_subspace_with_error(&[0.0, 0.0], Some(&[0.1]), full)
+                .is_err(),
+            "error arity unchecked"
+        );
+        assert!(
+            mc.kernel_columns(&[0.0, 0.0], Some(&[0.1])).is_err(),
+            "column error arity unchecked"
+        );
+        assert!(
+            mc.kernel_columns(&[0.0, 0.0], Some(&[f64::NAN, 0.1]))
+                .is_err(),
+            "column NaN error unchecked"
+        );
+        assert!(
+            mc.density_subspace_with_error(&[0.0, 0.0], None, Subspace::EMPTY)
+                .is_err(),
+            "empty subspace unchecked"
+        );
+        assert!(
+            mc.kernel_columns(&[0.0, 0.0], None)
+                .unwrap()
+                .density(Subspace::EMPTY)
+                .is_err(),
+            "column empty subspace unchecked"
+        );
     }
 
     fn fitted_2d() -> MicroClusterKde {

@@ -35,8 +35,6 @@
 //!   clusters (never created after warm-up, never discarded),
 //! * [`pseudo`] — Lemma 1 pseudo-points,
 //! * [`density`] — the micro-cluster density estimator (Eqs. 9–10),
-//! * [`backend`] — [`CoresetKde`], the certified reduction that answers
-//!   `coreset:EPS` (`exact` reads [`MicroClusterKde`] itself),
 //! * [`snapshot`] — JSON persistence of maintainer state,
 //! * [`ingest`] — fault-tolerant ingest: per-record Accept / Repair /
 //!   Quarantine / Reject verdicts under a configurable degradation
@@ -64,7 +62,6 @@
     )
 )]
 
-pub mod backend;
 pub mod checkpoint;
 pub mod density;
 pub mod diagnostics;
@@ -77,7 +74,6 @@ pub mod pyramid;
 pub mod shard;
 pub mod snapshot;
 
-pub use backend::CoresetKde;
 pub use checkpoint::{
     load_checkpoint, load_checkpoint_with_fallback, save_checkpoint, CheckpointDriver,
     CheckpointPayload, SCHEMA_VERSION,

@@ -6,7 +6,10 @@
 //!    subspace bit-for-bit identically to the naive row-wise density
 //!    loop, with and without query errors — under the default build
 //!    *and* under `fast-math` (both paths route their exponential
-//!    through `hot_exp`, so the contract is exp-agnostic).
+//!    through `hot_exp`, so the contract is exp-agnostic). The
+//!    proptests cover small datasets; a seed-replayable xorshift sweep
+//!    covers fitted mixtures of up to 31 pseudo-points, on random
+//!    subspaces and on the full space through `density`.
 //! 2. **Bounded drift**: against an independently computed `f64::exp`
 //!    reference (rebuilt by hand from the public pseudo-point
 //!    statistics), the density is float-noise exact by default and
@@ -115,5 +118,119 @@ proptest! {
             (got - reference).abs() <= tol * (1.0 + reference.abs()),
             "density {} vs std-exp reference {} (tol {})", got, reference, tol
         );
+    }
+}
+
+/// xorshift64* — deterministic, seed-replayable case generation.
+struct Rng(u64);
+
+impl Rng {
+    fn new(seed: u64) -> Rng {
+        Rng(seed.max(1))
+    }
+
+    fn next(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    /// Uniform in [0, 1).
+    fn unit(&mut self) -> f64 {
+        // 53 mantissa bits of the raw stream.
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Uniform in [lo, hi).
+    fn range(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * self.unit()
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        // n is tiny (dims/choices), so modulo bias is irrelevant here.
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Fits a random micro-cluster KDE: `n` points around 2–4 modes in
+/// `dim` dimensions with per-dimension errors in `[0, 0.5)`, compressed
+/// to `q` pseudo-points.
+fn random_model(rng: &mut Rng, dim: usize, n: usize, q: usize) -> MicroClusterKde {
+    let mut maintainer = MicroClusterMaintainer::new(dim, MaintainerConfig::new(q)).unwrap();
+    let modes = 2 + rng.below(3);
+    let centers: Vec<Vec<f64>> = (0..modes)
+        .map(|_| (0..dim).map(|_| rng.range(-4.0, 4.0)).collect())
+        .collect();
+    for t in 0..n {
+        let c = &centers[rng.below(modes)];
+        let values: Vec<f64> = c.iter().map(|&m| m + rng.range(-1.0, 1.0)).collect();
+        let psi: Vec<f64> = (0..dim).map(|_| rng.range(0.0, 0.5)).collect();
+        let p = UncertainPoint::new(values, psi)
+            .unwrap()
+            .with_timestamp(t as u64);
+        maintainer.insert(&p).unwrap();
+    }
+    MicroClusterKde::fit(maintainer.clusters(), KdeConfig::error_adjusted()).unwrap()
+}
+
+/// A random non-empty subspace of `dim` dimensions.
+fn random_subspace(rng: &mut Rng, dim: usize) -> Subspace {
+    loop {
+        let dims: Vec<usize> = (0..dim).filter(|_| rng.unit() < 0.5).collect();
+        if !dims.is_empty() {
+            return Subspace::from_dims(&dims).unwrap();
+        }
+    }
+}
+
+fn random_query(rng: &mut Rng, dim: usize) -> (Vec<f64>, Option<Vec<f64>>) {
+    let x: Vec<f64> = (0..dim).map(|_| rng.range(-5.0, 5.0)).collect();
+    let errors = if rng.unit() < 0.5 {
+        Some((0..dim).map(|_| rng.range(0.0, 0.4)).collect())
+    } else {
+        None
+    };
+    (x, errors)
+}
+
+/// Asserts the columnar path is bit-identical to the scalar entry
+/// points of `kde` at one random query and subspace.
+fn assert_columns_match_scalar(kde: &MicroClusterKde, rng: &mut Rng, dim: usize, seed: u64) {
+    let (x, errors) = random_query(rng, dim);
+    let sub = random_subspace(rng, dim);
+    let want = kde
+        .density_subspace_with_error(&x, errors.as_deref(), sub)
+        .unwrap();
+    let cols = kde.kernel_columns(&x, errors.as_deref()).unwrap();
+    assert_eq!(
+        cols.density(sub).unwrap().to_bits(),
+        want.to_bits(),
+        "columnar subspace density diverged, case seed {seed}"
+    );
+    let full = Subspace::full(dim).unwrap();
+    let want_full = kde.density(&x).unwrap();
+    let cols = kde.kernel_columns(&x, None).unwrap();
+    assert_eq!(
+        cols.density(full).unwrap().to_bits(),
+        want_full.to_bits(),
+        "columnar full-space density diverged, case seed {seed}"
+    );
+}
+
+#[test]
+fn fitted_mixture_is_bit_identical_on_random_models() {
+    for case in 0..12u64 {
+        let seed = 0xA11C_E000 + case;
+        let mut rng = Rng::new(seed);
+        let dim = 1 + rng.below(4);
+        let n = 40 + rng.below(160);
+        let q = 8 + rng.below(24);
+        let kde = random_model(&mut rng, dim, n, q);
+        for _ in 0..32 {
+            assert_columns_match_scalar(&kde, &mut rng, dim, seed);
+        }
     }
 }

@@ -150,21 +150,16 @@ impl BatchQueue {
                 None => return,
             };
             // The Arc keeps the generation alive for the whole batch:
-            // every job in it is answered by one coherent model, through
-            // the snapshot's default density backend.
+            // every job in it is answered by one coherent model.
             let snap = store.load();
             udm_observe::histogram_observe!("udm_serve_batch_size", batch.len() as f64);
             udm_observe::counter_inc!("udm_serve_density_batches_total");
-            let answered = match &snap {
-                Some(snap) => snap.with_kde(&snap.backend_spec, |kde| {
-                    evaluate_batch(kde, &batch);
-                    Ok(())
-                }),
-                None => Err(UdmError::EmptyDataset),
-            };
-            if let Err(err) = answered {
-                for job in &batch {
-                    let _ = job.reply.send(Err(err.clone()));
+            match snap.as_ref().and_then(|snap| snap.kde.as_ref()) {
+                Some(kde) => evaluate_batch(kde, &batch),
+                None => {
+                    for job in &batch {
+                        let _ = job.reply.send(Err(UdmError::EmptyDataset));
+                    }
                 }
             }
         }

@@ -10,10 +10,9 @@ use crate::batch::BatchQueue;
 use crate::snapshot::{ModelSnapshot, SnapshotStore};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use std::time::Instant;
+use udm_core::error::ensure_non_negative;
 use udm_core::num::ensure_finite_slice;
 use udm_core::{Result, Subspace, UdmError};
-use udm_kde::backend::record_query;
 use udm_kde::BackendSpec;
 
 /// A `/density` request body.
@@ -25,10 +24,8 @@ pub struct DensityRequest {
     pub errors: Option<Vec<f64>>,
     /// Subspace dimensions (absent = full space).
     pub dims: Option<Vec<usize>>,
-    /// Per-request density backend override (`exact | coreset:EPS`;
-    /// absent = the snapshot's default). Overridden requests are
-    /// answered inline — they never enter the batch queue, so
-    /// default-backend batching stays bit-identical.
+    /// Kept only because the perf ledger sets it; `"exact"` answers as
+    /// if absent, anything else is a 400.
     pub backend: Option<String>,
 }
 
@@ -50,8 +47,8 @@ pub struct ClassifyRequest {
     pub values: Vec<f64>,
     /// Optional per-dimension errors ψ(x).
     pub errors: Option<Vec<f64>>,
-    /// Per-request density backend override (absent = the classifier's
-    /// runtime default).
+    /// Kept only because the perf ledger sets it; `"exact"` answers as
+    /// if absent, anything else is a 400.
     pub backend: Option<String>,
 }
 
@@ -129,9 +126,6 @@ pub struct HealthzResponse {
     pub snapshot_age_seconds: f64,
     /// Whether the classifier endpoint is available.
     pub classifier: bool,
-    /// The snapshot's default density backend spec (empty until the
-    /// first snapshot is published).
-    pub backend: String,
 }
 
 /// Maps an evaluation error to its HTTP status: caller mistakes are
@@ -161,19 +155,23 @@ fn subspace_of(dims: Option<&[usize]>, dim: usize) -> Result<Subspace> {
     }
 }
 
-/// Answers a `/density` request. When a batch queue is wired in and no
-/// backend override is present, the query is funneled through it (and
-/// may be coalesced with concurrent requests); otherwise the snapshot's
-/// mixture for the spec evaluates inline. Queue and inline paths run
-/// the same arithmetic under the default backend, so responses are
-/// bit-identical. Each answered query is recorded once under its
-/// backend's metrics.
+/// Accepts an absent `"backend"` or `"exact"`; anything else is an
+/// [`UdmError::InvalidConfig`] (400).
+fn exact_only(backend: Option<&str>) -> Result<()> {
+    backend.map_or(Ok(()), |text| BackendSpec::parse(text).map(|_| ()))
+}
+
+/// Answers a `/density` request. When a batch queue is wired in, the
+/// query is funneled through it (and may be coalesced with concurrent
+/// requests); otherwise the snapshot's KDE evaluates it inline. Both
+/// paths run the same arithmetic, so responses are bit-identical.
 ///
 /// # Errors
 ///
-/// Validation errors (400 class, including malformed backend specs),
-/// [`UdmError::EmptyDataset`] before the first snapshot with data
-/// (503), evaluation failures.
+/// Validation errors (400 class: a non-finite value, a negative or
+/// non-finite error ψ, an arity mismatch, a `"backend"` other than
+/// `"exact"`), [`UdmError::EmptyDataset`] before the first snapshot
+/// with data (503), evaluation failures.
 pub fn handle_density(
     store: &SnapshotStore,
     queue: Option<&BatchQueue>,
@@ -181,7 +179,11 @@ pub fn handle_density(
 ) -> Result<DensityResponse> {
     ensure_finite_slice("density query values", &req.values)?;
     if let Some(errors) = &req.errors {
-        ensure_finite_slice("density query errors", errors)?;
+        // The kernel squares ψ, so a negative error would be answered
+        // as its absolute value; `/classify` rejects it too.
+        for &e in errors {
+            ensure_non_negative("density query error", e)?;
+        }
         if errors.len() != req.values.len() {
             return Err(UdmError::DimensionMismatch {
                 expected: req.values.len(),
@@ -189,34 +191,25 @@ pub fn handle_density(
             });
         }
     }
-    let started = Instant::now();
+    exact_only(req.backend.as_deref())?;
     let snap = snapshot_or_unready(store)?;
     let subspace = subspace_of(req.dims.as_deref(), req.values.len())?;
-    let spec = match req.backend.as_deref() {
-        Some(text) => BackendSpec::parse(text)?,
-        None => snap.backend_spec,
-    };
-    let answered = match queue {
-        Some(queue) if req.backend.is_none() => {
-            let reply = queue.submit(req.values.clone(), req.errors.clone(), subspace)?;
-            DensityResponse {
-                density: reply.density,
-                generation: snap.generation,
-                batch_size: reply.batch_size,
-            }
-        }
-        _ => snap.with_kde(&spec, |kde| {
-            Ok(DensityResponse {
-                density: kde
-                    .kernel_columns(&req.values, req.errors.as_deref())?
-                    .density(subspace)?,
-                generation: snap.generation,
-                batch_size: 1,
-            })
-        })?,
-    };
-    record_query(&spec, started.elapsed().as_secs_f64());
-    Ok(answered)
+    if let Some(queue) = queue {
+        let reply = queue.submit(req.values.clone(), req.errors.clone(), subspace)?;
+        return Ok(DensityResponse {
+            density: reply.density,
+            generation: snap.generation,
+            batch_size: reply.batch_size,
+        });
+    }
+    let kde = snap.kde.as_ref().ok_or(UdmError::EmptyDataset)?;
+    Ok(DensityResponse {
+        density: kde
+            .kernel_columns(&req.values, req.errors.as_deref())?
+            .density(subspace)?,
+        generation: snap.generation,
+        batch_size: 1,
+    })
 }
 
 /// Answers a `/classify` request via `classify_scored` (decision and
@@ -231,6 +224,7 @@ pub fn handle_classify(store: &SnapshotStore, req: &ClassifyRequest) -> Result<C
     if let Some(errors) = &req.errors {
         ensure_finite_slice("classify query errors", errors)?;
     }
+    exact_only(req.backend.as_deref())?;
     let snap = snapshot_or_unready(store)?;
     let classifier = snap.classifier.as_ref().ok_or(UdmError::EmptyDataset)?;
     let errors = req
@@ -238,13 +232,7 @@ pub fn handle_classify(store: &SnapshotStore, req: &ClassifyRequest) -> Result<C
         .clone()
         .unwrap_or_else(|| vec![0.0; req.values.len()]);
     let point = udm_core::UncertainPoint::new(req.values.clone(), errors)?;
-    let (outcome, scores) = match req.backend.as_deref() {
-        Some(text) => {
-            let spec = BackendSpec::parse(text)?;
-            classifier.classify_scored_with_backend(&point, &spec)?
-        }
-        None => classifier.classify_scored(&point)?,
-    };
+    let (outcome, scores) = classifier.classify_scored(&point)?;
     Ok(ClassifyResponse {
         label: outcome.label.id(),
         used_fallback: outcome.used_fallback,
@@ -324,7 +312,6 @@ pub fn handle_healthz(store: &SnapshotStore, min_coverage: f64) -> (u16, Healthz
                 model_fingerprint: String::new(),
                 snapshot_age_seconds: 0.0,
                 classifier: false,
-                backend: String::new(),
             },
         ),
         Some(snap) => {
@@ -341,7 +328,6 @@ pub fn handle_healthz(store: &SnapshotStore, min_coverage: f64) -> (u16, Healthz
                 model_fingerprint: format!("{:016x}", snap.model_fingerprint()),
                 snapshot_age_seconds: snap.age_seconds(),
                 classifier: snap.classifier.is_some(),
-                backend: snap.backend_spec.to_string(),
             };
             (if healthy { 200 } else { 503 }, body)
         }
@@ -489,53 +475,67 @@ mod tests {
         assert!((total - 1.0).abs() < 1e-9 || total.abs() < 1e-12);
     }
 
+    /// Runs `body` against a batch queue whose worker reads `store`,
+    /// then shuts the worker down.
+    fn with_queue<R>(store: &Arc<SnapshotStore>, body: impl FnOnce(&BatchQueue) -> R) -> R {
+        let queue = Arc::new(BatchQueue::new(crate::batch::BatchConfig::default()));
+        let worker = {
+            let (queue, store) = (Arc::clone(&queue), Arc::clone(store));
+            std::thread::spawn(move || queue.run_worker(&store))
+        };
+        let out = body(&queue);
+        queue.shutdown();
+        worker.join().unwrap();
+        out
+    }
+
     #[test]
     fn density_backend_override_serves_inline() {
-        let store = labelled_store();
+        let store = Arc::new(labelled_store());
         let base = DensityRequest {
             values: vec![0.5, 0.5],
-            errors: None,
+            errors: Some(vec![0.2, 0.1]),
             dims: None,
             backend: None,
         };
-        let default = handle_density(&store, None, &base).unwrap();
+        let exact = DensityRequest {
+            backend: Some("exact".into()),
+            ..base.clone()
+        };
+        // `"exact"` answers bit for bit like an absent field, inline and
+        // through the batch queue.
+        let inline = handle_density(&store, None, &base).unwrap();
+        let inline_exact = handle_density(&store, None, &exact).unwrap();
+        assert_eq!(inline_exact.density.to_bits(), inline.density.to_bits());
+        let (queued, queued_exact) = with_queue(&store, |queue| {
+            (
+                handle_density(&store, Some(queue), &base).unwrap(),
+                handle_density(&store, Some(queue), &exact).unwrap(),
+            )
+        });
+        assert_eq!(queued.density.to_bits(), inline.density.to_bits());
+        assert_eq!(queued_exact.density.to_bits(), inline.density.to_bits());
+        // Both take the queue: a shut-down one refuses both.
+        let closed = BatchQueue::new(crate::batch::BatchConfig::default());
+        closed.shutdown();
+        for req in [&base, &exact] {
+            let err = handle_density(&store, Some(&closed), req).unwrap_err();
+            assert!(matches!(err, UdmError::Io(_)), "{err}");
+        }
 
-        // An explicit exact override is bit-identical to the default.
-        let exact = handle_density(
-            &store,
-            None,
-            &DensityRequest {
-                backend: Some("exact".into()),
+        // Any other spec, the removed ones included, is a caller
+        // mistake, not a server fault, on both paths.
+        for spec in ["coreset:0.1", "coreset:nope", "hbe:0.2", "hbe:0.2,0.05", ""] {
+            let bad = DensityRequest {
+                backend: Some(spec.into()),
                 ..base.clone()
-            },
-        )
-        .unwrap();
-        assert_eq!(exact.density.to_bits(), default.density.to_bits());
-
-        // A coreset override answers with a finite positive estimate.
-        let coreset = handle_density(
-            &store,
-            None,
-            &DensityRequest {
-                backend: Some("coreset:0.05".into()),
-                ..base.clone()
-            },
-        )
-        .unwrap();
-        assert!(coreset.density.is_finite() && coreset.density > 0.0);
-
-        // A malformed or removed spec is a caller mistake, not a server
-        // fault.
-        for spec in ["coreset:nope", "hbe:0.2", "hbe:0.2,0.05"] {
-            let bad = handle_density(
-                &store,
-                None,
-                &DensityRequest {
-                    backend: Some(spec.into()),
-                    ..base.clone()
-                },
-            );
-            assert_eq!(status_for(&bad.unwrap_err()), 400, "{spec}");
+            };
+            let err = handle_density(&store, None, &bad).unwrap_err();
+            assert_eq!(status_for(&err), 400, "{spec}");
+            let err = with_queue(&store, |queue| {
+                handle_density(&store, Some(queue), &bad).unwrap_err()
+            });
+            assert_eq!(status_for(&err), 400, "queued {spec}");
         }
     }
 
@@ -544,7 +544,7 @@ mod tests {
         let store = labelled_store();
         let base = ClassifyRequest {
             values: vec![5.0, 4.5],
-            errors: None,
+            errors: Some(vec![0.3, 0.2]),
             backend: None,
         };
         let default = handle_classify(&store, &base).unwrap();
@@ -557,30 +557,103 @@ mod tests {
         )
         .unwrap();
         assert_eq!(exact.label, default.label);
+        assert_eq!(exact.used_fallback, default.used_fallback);
+        assert_eq!(exact.candidates_evaluated, default.candidates_evaluated);
+        assert_eq!(exact.selected, default.selected);
+        assert_eq!(exact.scores.len(), default.scores.len());
         for (a, b) in exact.scores.iter().zip(default.scores.iter()) {
+            assert_eq!(a.label, b.label);
             assert_eq!(a.score.to_bits(), b.score.to_bits());
         }
 
-        // A coreset override still classifies the far mode correctly.
-        let coreset = handle_classify(
+        // Any other spec, the removed ones included, is rejected as a
+        // caller mistake.
+        for spec in ["coreset:0.1", "hbe:0.2", "fast"] {
+            let removed = handle_classify(
+                &store,
+                &ClassifyRequest {
+                    backend: Some(spec.into()),
+                    ..base.clone()
+                },
+            );
+            assert_eq!(status_for(&removed.unwrap_err()), 400, "{spec}");
+        }
+    }
+
+    #[test]
+    fn negative_query_errors_are_rejected_on_both_endpoints() {
+        let store = labelled_store();
+        let (values, errors) = (vec![0.5, 0.5], vec![-0.3, 0.1]);
+        let density = handle_density(
             &store,
-            &ClassifyRequest {
-                backend: Some("coreset:0.05".into()),
-                ..base.clone()
+            None,
+            &DensityRequest {
+                values: values.clone(),
+                errors: Some(errors.clone()),
+                dims: None,
+                backend: None,
             },
         )
-        .unwrap();
-        assert_eq!(coreset.label, default.label);
-
-        // A removed spec is rejected as a caller mistake.
-        let removed = handle_classify(
+        .unwrap_err();
+        assert!(
+            matches!(density, UdmError::InvalidValue { value, .. } if value == -0.3),
+            "{density}"
+        );
+        assert_eq!(status_for(&density), 400);
+        let classify = handle_classify(
             &store,
             &ClassifyRequest {
-                backend: Some("hbe:0.2".into()),
-                ..base
+                values,
+                errors: Some(errors),
+                backend: None,
             },
+        )
+        .unwrap_err();
+        assert!(
+            matches!(classify, UdmError::InvalidValue { value, .. } if value == -0.3),
+            "{classify}"
         );
-        assert_eq!(status_for(&removed.unwrap_err()), 400);
+        assert_eq!(status_for(&classify), 400);
+    }
+
+    #[test]
+    fn kdeless_snapshot_answers_density_unready() {
+        // A snapshot published before any point was admitted carries no
+        // KDE: `/density` answers 503, inline and through the queue.
+        let store = Arc::new(SnapshotStore::new());
+        let mut m = MicroClusterMaintainer::new(2, MaintainerConfig::new(4)).unwrap();
+        for i in 0..5u64 {
+            let p = UncertainPoint::new(vec![i as f64, 1.0], vec![0.1, 0.1])
+                .unwrap()
+                .with_timestamp(i);
+            m.insert(&p).unwrap();
+        }
+        let model = MicroClusterModel::from_clusters(2, m.into_clusters()).unwrap();
+        store.publish(crate::snapshot::ModelSnapshot::new(
+            1,
+            model,
+            None,
+            None,
+            1.0,
+            IngestCounters::default(),
+            5,
+        ));
+        for backend in [None, Some("exact".to_string())] {
+            let req = DensityRequest {
+                values: vec![1.0, 1.0],
+                errors: None,
+                dims: None,
+                backend,
+            };
+            let inline = handle_density(&store, None, &req).unwrap_err();
+            assert!(matches!(inline, UdmError::EmptyDataset), "{inline}");
+            assert_eq!(status_for(&inline), 503);
+            let queued = with_queue(&store, |queue| {
+                handle_density(&store, Some(queue), &req).unwrap_err()
+            });
+            assert!(matches!(queued, UdmError::EmptyDataset), "{queued}");
+            assert_eq!(status_for(&queued), 503);
+        }
     }
 
     #[test]
@@ -614,7 +687,6 @@ mod tests {
         assert_eq!(body.points, 200);
         assert!(body.classifier);
         assert_eq!(body.model_fingerprint.len(), 16);
-        assert_eq!(body.backend, "exact");
 
         // Same store judged against an impossible coverage floor.
         let (code, body) = handle_healthz(&store, 1.5);

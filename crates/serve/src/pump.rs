@@ -68,8 +68,7 @@ pub struct PumpConfig {
     /// Sleep between chunks (throttles ingest so chaos drills can catch
     /// the pump mid-stream; zero for full speed).
     pub chunk_delay: Duration,
-    /// The density backend every published snapshot serves through by
-    /// default (and the classifier's default, when one is attached).
+    /// Kept only because the perf ledger sets it; nothing reads it.
     pub backend: BackendSpec,
 }
 
@@ -116,12 +115,6 @@ impl IngestPump {
         kde_config: KdeConfig,
         config: PumpConfig,
     ) -> Result<Self> {
-        config.backend.validate()?;
-        if let Some(c) = &classifier {
-            // The classifier's default backend follows the pump's, so
-            // `/classify` without an override and the CLI agree.
-            c.set_backend(config.backend)?;
-        }
         let warm = plan.has_checkpoints();
         let supervisor = if warm {
             ShardSupervisor::recover(dim, maintainer, policy, plan)?
@@ -175,8 +168,7 @@ impl IngestPump {
             coverage,
             counters,
             self.supervisor.report().offered,
-        )
-        .with_backend_spec(self.config.backend);
+        );
         udm_observe::gauge_set!("udm_serve_coverage", coverage);
         Ok(store.publish(snapshot))
     }
@@ -319,35 +311,6 @@ mod tests {
         assert_eq!(last.model.total_points(), 100);
         assert!(last.kde.is_some());
         assert!(last.verify());
-    }
-
-    #[test]
-    fn pump_stamps_snapshots_with_its_backend_spec() {
-        let store = SnapshotStore::new();
-        let p = plan("backend", 2);
-        let mut pump = pump(
-            p,
-            records(60, 2),
-            PumpConfig {
-                refresh_every: 30,
-                backend: BackendSpec::Coreset { eps: 0.25 },
-                ..PumpConfig::default()
-            },
-        );
-        while pump.step().unwrap() {
-            pump.publish(&store).unwrap();
-        }
-        let snap = store.load().unwrap();
-        assert_eq!(snap.backend_spec, BackendSpec::Coreset { eps: 0.25 });
-        // The fixture must merge something, or a spec-blind snapshot
-        // serving the fitted KDE would pass.
-        let kde = snap.kde.as_ref().unwrap();
-        let want = udm_microcluster::CoresetKde::build(kde, 0.25).unwrap();
-        assert!(want.rows() < kde.num_pseudo_points(), "nothing merged");
-        let served = snap
-            .with_kde(&snap.backend_spec, |kde| Ok(kde.num_pseudo_points()))
-            .unwrap();
-        assert_eq!(served, want.rows());
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use udm_classify::DensityClassifier;
 use udm_core::{Result, UdmError};
 use udm_data::fault::RawRecord;
-use udm_kde::{BackendSpec, KdeConfig};
+use udm_kde::KdeConfig;
 use udm_microcluster::ingest::IngestPolicy;
 use udm_microcluster::shard::{KillPlan, ShardPlan};
 use udm_microcluster::MaintainerConfig;
@@ -52,10 +52,6 @@ pub struct ServeConfig {
     pub policy: IngestPolicy,
     /// KDE configuration for published snapshots.
     pub kde: KdeConfig,
-    /// Density backend published with every snapshot (`Exact` keeps
-    /// batching bit-identical; approximate backends trade accuracy for
-    /// latency on large models).
-    pub backend: BackendSpec,
     /// Fault plan for degradation drills.
     pub kill_plan: KillPlan,
     /// Hold ingest after this many records (chaos-test hook).
@@ -79,7 +75,6 @@ impl ServeConfig {
             max_clusters: 60,
             policy: IngestPolicy::default(),
             kde: KdeConfig::error_adjusted(),
-            backend: BackendSpec::Exact,
             kill_plan: KillPlan::none(),
             ingest_limit: None,
             chunk_delay: Duration::ZERO,
@@ -155,7 +150,7 @@ impl Server {
                 kill_plan: config.kill_plan.clone(),
                 ingest_limit: config.ingest_limit,
                 chunk_delay: config.chunk_delay,
-                backend: config.backend,
+                ..PumpConfig::default()
             },
         )?;
         let warm = pump.warm;
