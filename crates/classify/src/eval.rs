@@ -1,6 +1,7 @@
 //! Evaluation harness: accuracy, confusion matrices, timing, parallelism.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use udm_core::{ClassLabel, Result, UdmError, UncertainDataset, UncertainPoint};
 
@@ -174,12 +175,15 @@ const PARALLEL_MIN_POINTS: usize = 32;
 
 /// Evaluates a classifier over the labelled points of `test`.
 ///
-/// From 32 points up, on a host with more than one core, the points
-/// are split into [`std::thread::available_parallelism`] contiguous
-/// chunks. The first chunk runs on the calling thread and the rest on
-/// scoped threads; the chunk tallies merge in chunk order, so the
-/// counts equal the sequential loop's for any deterministic classifier
-/// and only `elapsed` depends on the split.
+/// From 32 points up, on a host with more than one core, the calling
+/// thread and [`std::thread::available_parallelism`] − 1 scoped threads
+/// share the points: each claims the next unclaimed index from one
+/// counter, classifies that point and adds it to its own tally, so a
+/// thread slowed by other load claims fewer points instead of holding
+/// up the rest. The tallies are integer counts and their sum does not
+/// depend on who classified which point, so the counts equal the
+/// sequential loop's for any deterministic classifier and only
+/// `elapsed` depends on the schedule.
 ///
 /// # Errors
 ///
@@ -197,11 +201,11 @@ pub fn evaluate<C: Classifier>(model: &C, test: &UncertainDataset) -> Result<Eva
     } else {
         std::thread::available_parallelism().map_or(1, usize::from)
     };
-    let mut chunks = points.chunks(points.len().div_ceil(threads).max(1));
-    let first = chunks.next().unwrap_or_default();
+    let next = AtomicUsize::new(0);
+    let claim = || tally(model, points, &next);
     let tallies = std::thread::scope(|s| {
-        let workers: Vec<_> = chunks.map(|c| s.spawn(move || tally(model, c))).collect();
-        let mut tallies = vec![tally(model, first)];
+        let workers: Vec<_> = (1..threads).map(|_| s.spawn(claim)).collect();
+        let mut tallies = vec![claim()];
         for worker in workers {
             tallies.push(
                 worker
@@ -212,13 +216,17 @@ pub fn evaluate<C: Classifier>(model: &C, test: &UncertainDataset) -> Result<Eva
         tallies
     });
     let mut report = EvalReport::default();
-    for part in tallies {
-        let part = part?;
+    let mut errors = Vec::new();
+    for (part, error) in tallies {
         report.n += part.n;
         report.correct += part.correct;
         for (key, count) in part.confusion {
             *report.confusion.entry(key).or_insert(0) += count;
         }
+        errors.extend(error);
+    }
+    if let Some((_, e)) = errors.into_iter().min_by_key(|&(index, _)| index) {
+        return Err(e);
     }
     if report.n == 0 {
         return Err(UdmError::EmptyDataset);
@@ -227,18 +235,35 @@ pub fn evaluate<C: Classifier>(model: &C, test: &UncertainDataset) -> Result<Eva
     Ok(report)
 }
 
-/// Classifies the labelled points of one chunk in order and counts the
-/// outcomes; `elapsed` stays zero.
-fn tally<C: Classifier>(model: &C, points: &[UncertainPoint]) -> Result<EvalReport> {
+/// Claims indices from `next` until they run out, classifying each
+/// labelled point and counting the outcomes (`elapsed` stays zero).
+/// Stops at its first error and returns it with the point's index:
+/// every smaller index was claimed earlier and is classified by the
+/// thread that claimed it, so the smallest failing index over all
+/// threads is the first error in dataset order.
+fn tally<C: Classifier>(
+    model: &C,
+    points: &[UncertainPoint],
+    next: &AtomicUsize,
+) -> (EvalReport, Option<(usize, UdmError)>) {
     let mut report = EvalReport::default();
-    for p in points {
+    loop {
+        // The counter hands out indices and guards no other data; the
+        // tallies reach the caller through the thread joins.
+        let index = next.fetch_add(1, Ordering::Relaxed);
+        let Some(p) = points.get(index) else {
+            return (report, None);
+        };
         let Some(actual) = p.label() else { continue };
-        let predicted = model.classify(p)?;
-        report.n += 1;
-        report.correct += usize::from(predicted == actual);
-        *report.confusion.entry((actual, predicted)).or_insert(0) += 1;
+        match model.classify(p) {
+            Ok(predicted) => {
+                report.n += 1;
+                report.correct += usize::from(predicted == actual);
+                *report.confusion.entry((actual, predicted)).or_insert(0) += 1;
+            }
+            Err(e) => return (report, Some((index, e))),
+        }
     }
-    Ok(report)
 }
 
 #[cfg(test)]
@@ -442,6 +467,77 @@ mod tests {
             panic_at: Some(50),
         };
         let _ = evaluate(&model, &labelled_line(64));
+    }
+
+    /// Holds the first point a thread other than `caller` classifies
+    /// until every other point is classified, for at most `HOLD_LIMIT`,
+    /// and fails that point if they are not. When there are workers, the
+    /// caller first waits (as long) for one of them to hold its point.
+    struct HoldFirstOffCaller {
+        caller: std::thread::ThreadId,
+        points: usize,
+        workers: bool,
+        state: std::sync::Mutex<Hold>,
+        changed: std::sync::Condvar,
+    }
+
+    #[derive(Default)]
+    struct Hold {
+        held: bool,
+        classified: usize,
+    }
+
+    const HOLD_LIMIT: Duration = Duration::from_secs(10);
+
+    impl Classifier for HoldFirstOffCaller {
+        fn classify(&self, _: &UncertainPoint) -> Result<ClassLabel> {
+            let mut state = self.state.lock().unwrap();
+            if std::thread::current().id() == self.caller {
+                state = self
+                    .changed
+                    .wait_timeout_while(state, HOLD_LIMIT, |s| self.workers && !s.held)
+                    .unwrap()
+                    .0;
+            } else if !state.held {
+                state.held = true;
+                self.changed.notify_all();
+                let (held, wait) = self
+                    .changed
+                    .wait_timeout_while(state, HOLD_LIMIT, |s| s.classified + 1 < self.points)
+                    .unwrap();
+                if wait.timed_out() {
+                    return Err(UdmError::InvalidConfig(format!(
+                        "held point still waiting after {HOLD_LIMIT:?}: {} of {} others classified",
+                        held.classified,
+                        self.points - 1
+                    )));
+                }
+                state = held;
+            }
+            state.classified += 1;
+            self.changed.notify_all();
+            Ok(ClassLabel(0))
+        }
+    }
+
+    #[test]
+    fn caller_takes_over_the_points_of_a_stalled_worker() {
+        // A worker stalls on the first point it claims; the calling
+        // thread must classify all the others meanwhile. With the test
+        // set split into fixed per-thread chunks the worker's chunk
+        // waits behind its stalled point and the hold times out.
+        let n = 64;
+        let workers = std::thread::available_parallelism().map_or(1, usize::from) > 1;
+        let model = HoldFirstOffCaller {
+            caller: std::thread::current().id(),
+            points: n,
+            workers,
+            state: std::sync::Mutex::default(),
+            changed: std::sync::Condvar::new(),
+        };
+        let r = evaluate(&model, &labelled_line(n)).unwrap();
+        assert_eq!(r.n, n);
+        assert_eq!(model.state.into_inner().unwrap().held, workers);
     }
 
     #[test]

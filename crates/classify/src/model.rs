@@ -149,10 +149,15 @@ impl DensityClassifier {
     /// # Errors
     ///
     /// Configuration validation errors; [`UdmError::InvalidConfig`] when
-    /// the training data has fewer than 2 classes.
+    /// the training data has fewer than 2 classes;
+    /// [`UdmError::SubspaceCapacityExceeded`] when it has more than
+    /// [`Subspace::MAX_DIMS`] dimensions.
     pub fn fit(train: &UncertainDataset, config: ClassifierConfig) -> Result<Self> {
         let _span_fit = udm_observe::span!("classify_fit");
         config.validate()?;
+        // Every subspace the roll-up and the class scores read must fit
+        // the bitmask.
+        Subspace::full(train.dim())?;
         let partition = train.partition_by_class();
         if partition.num_classes() < 2 {
             return Err(UdmError::InvalidConfig(format!(
@@ -836,6 +841,82 @@ mod tests {
                 assert_eq!(sa.to_bits(), sb.to_bits(), "score drift for {la:?}");
             }
         }
+    }
+
+    #[test]
+    fn rollup_and_vote_match_the_reference_path_on_wide_data() {
+        // The 34-dim ionosphere stand-in at the ledger's operating point:
+        // f = 1.2, q = 60 and the default limits, under which the
+        // 4096-per-level cap binds. Labels alone would not show a
+        // difference: nearly every point gets the majority class.
+        let noisy = ErrorModel::paper(1.2)
+            .apply(&UciDataset::Ionosphere.generate(400, 150), 151)
+            .unwrap();
+        let split = stratified_split(&noisy, 0.3, 152).unwrap();
+        let config = ClassifierConfig::error_adjusted(60);
+        let limits = RollupLimits::from_config(&config);
+        let model = DensityClassifier::fit(&split.train, config).unwrap();
+        for x in split.test.iter().take(3) {
+            let got = model.classify_detailed(x).unwrap();
+            let oracle = model.oracle(x);
+            let want = crate::rollup::reference_rollup(
+                &oracle,
+                model.dim,
+                model.config.accuracy_threshold,
+                limits,
+            )
+            .unwrap();
+            assert!(got.candidates_evaluated > 2 * 4096, "cap never bound");
+            assert_eq!(got.candidates_evaluated, want.candidates_evaluated);
+            let selected = crate::subspace_select::reference_select(
+                want.qualifying,
+                model.config.max_selected_subspaces,
+            );
+            assert!(!selected.is_empty());
+            assert_eq!(got.selected, selected);
+        }
+    }
+
+    #[test]
+    fn fit_rejects_data_wider_than_the_bitmask() {
+        // Two classes told apart by the last dimension only.
+        let last_dim_signal = |dim: usize| {
+            let mut shifted = vec![0.0; dim];
+            shifted[dim - 1] = 6.0;
+            MixtureGenerator::new(
+                dim,
+                vec![
+                    GaussianClassSpec::spherical(vec![0.0; dim], 1.0, 1.0),
+                    GaussianClassSpec::spherical(shifted, 1.0, 1.0),
+                ],
+            )
+            .unwrap()
+            .generate(200, 160)
+        };
+        for dim in [Subspace::MAX_DIMS + 1, Subspace::MAX_DIMS + 2] {
+            let err =
+                DensityClassifier::fit(&last_dim_signal(dim), ClassifierConfig::error_adjusted(10))
+                    .unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                UdmError::SubspaceCapacityExceeded { dim: dim - 1 }.to_string()
+            );
+        }
+        // 64 dims still fit, and the roll-up reaches the last one.
+        let mut config = ClassifierConfig::error_adjusted(10);
+        config.max_subspace_dim = Some(1);
+        let model = DensityClassifier::fit(&last_dim_signal(Subspace::MAX_DIMS), config).unwrap();
+        let mut values = vec![0.0; Subspace::MAX_DIMS];
+        values[Subspace::MAX_DIMS - 1] = 6.0;
+        let x = UncertainPoint::exact(values).unwrap();
+        let (out, scores) = model.classify_scored(&x).unwrap();
+        assert_eq!(out.candidates_evaluated, Subspace::MAX_DIMS);
+        assert_eq!(
+            out.selected[0].subspace,
+            Subspace::singleton(Subspace::MAX_DIMS - 1).unwrap()
+        );
+        assert_eq!(out.selected[0].label, ClassLabel(1));
+        assert!(scores[1].1 > 0.9, "{scores:?}");
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! at least one qualifying `i`-dimensional subset.
 
 use crate::config::ClassifierConfig;
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use udm_core::{ClassLabel, Result, Subspace};
 
 /// Supplies local accuracies `A(x, S, l_i)` for a fixed test point `x`.
@@ -81,16 +82,111 @@ fn dominant(labels: &[ClassLabel], accs: &[f64]) -> Option<(ClassLabel, f64)> {
     best
 }
 
+/// `C_{i+1} = L_i ⋈ L_1`: every `s ∪ {b}` with `s` in `level` and `{b}`
+/// in `l1`, `b ∉ s`, yielded once each in ascending bitmask order.
+///
+/// `level` must be ascending. Then for each `{b}` the members of `level`
+/// without `b`, mapped to `s ∪ {b}`, are ascending too (adding the same
+/// absent bit preserves the order of the masks), so the join is the
+/// k-way merge of `|L_1|` sorted streams. The heap holds one head per
+/// stream; equal heads of different streams pop back to back and all
+/// but the first are dropped. Candidates are produced on demand, so a
+/// per-level cap stops the merge after the candidates it keeps.
+struct LevelJoin<'a> {
+    level: &'a [Subspace],
+    l1: &'a [Subspace],
+    /// Per stream, the index in `level` of the next member to try.
+    cursors: Vec<usize>,
+    heads: BinaryHeap<Reverse<(Subspace, usize)>>,
+    last: Option<Subspace>,
+}
+
+impl<'a> LevelJoin<'a> {
+    fn new(level: &'a [Subspace], l1: &'a [Subspace]) -> Self {
+        debug_assert!(level.windows(2).all(|w| w[0] < w[1]), "level not ascending");
+        let mut join = LevelJoin {
+            level,
+            l1,
+            cursors: vec![0; l1.len()],
+            heads: BinaryHeap::with_capacity(l1.len()),
+            last: None,
+        };
+        for stream in 0..l1.len() {
+            join.advance(stream);
+        }
+        join
+    }
+
+    /// Pushes the next head of `stream`, skipping the members of `level`
+    /// that already contain its dimension.
+    fn advance(&mut self, stream: usize) {
+        let one = self.l1[stream];
+        while let Some(&s) = self.level.get(self.cursors[stream]) {
+            self.cursors[stream] += 1;
+            if let Some(joined) = s.join(one) {
+                self.heads.push(Reverse((joined, stream)));
+                return;
+            }
+        }
+    }
+}
+
+impl Iterator for LevelJoin<'_> {
+    type Item = Subspace;
+
+    fn next(&mut self) -> Option<Subspace> {
+        while let Some(Reverse((candidate, stream))) = self.heads.pop() {
+            self.advance(stream);
+            if self.last != Some(candidate) {
+                self.last = Some(candidate);
+                return Some(candidate);
+            }
+        }
+        None
+    }
+}
+
 /// Runs the bottom-up roll-up of Fig. 3 for one test instance.
 ///
 /// `dimensionality` is the data dimensionality `d`; `threshold` is `a`.
+///
+/// # Errors
+///
+/// [`udm_core::UdmError::SubspaceCapacityExceeded`] when `d` exceeds
+/// [`Subspace::MAX_DIMS`]; otherwise the first error of the oracle.
 pub fn rollup<O: AccuracyOracle>(
     oracle: &O,
     dimensionality: usize,
     threshold: f64,
     limits: RollupLimits,
 ) -> Result<RollupOutcome> {
+    rollup_by(
+        oracle,
+        dimensionality,
+        threshold,
+        limits,
+        |level, l1, cap| LevelJoin::new(level, l1).take(cap).collect(),
+    )
+}
+
+/// The roll-up with its candidate generation passed in: `join(L_i, L_1,
+/// cap)` returns the first `cap` candidates of `L_i ⋈ L_1` in ascending
+/// order, without duplicates.
+fn rollup_by<O, J>(
+    oracle: &O,
+    dimensionality: usize,
+    threshold: f64,
+    limits: RollupLimits,
+    join: J,
+) -> Result<RollupOutcome>
+where
+    O: AccuracyOracle,
+    J: Fn(&[Subspace], &[Subspace], usize) -> Vec<Subspace>,
+{
     let _span_rollup = udm_observe::span!("rollup");
+    // Every subspace of the data must fit the bitmask; fail before the
+    // first evaluation rather than roll up a prefix of the dimensions.
+    Subspace::full(dimensionality)?;
     let labels = oracle.labels().to_vec();
     let mut qualifying: Vec<DiscriminativeSubspace> = Vec::new();
     let mut best_singleton: Option<DiscriminativeSubspace> = None;
@@ -105,7 +201,7 @@ pub fn rollup<O: AccuracyOracle>(
     // Level 1: all singletons.
     let mut l1: Vec<Subspace> = Vec::new();
     let mut current_level: Vec<Subspace> = Vec::new();
-    for dim in 0..dimensionality.min(Subspace::MAX_DIMS) {
+    for dim in 0..dimensionality {
         let s = Subspace::singleton(dim)?;
         let accs = oracle.accuracies(s)?;
         candidates_evaluated += 1;
@@ -136,7 +232,9 @@ pub fn rollup<O: AccuracyOracle>(
         }
     }
 
-    // Levels 2..: C_{i+1} = L_i ⋈ L_1.
+    // Levels 2..: C_{i+1} = L_i ⋈ L_1. Each level is evaluated in
+    // ascending order, so `next_level` comes out ascending as well.
+    let cap = limits.max_candidates_per_level.unwrap_or(usize::MAX);
     let mut level_dim = 1usize;
     while !current_level.is_empty() {
         level_dim += 1;
@@ -145,21 +243,8 @@ pub fn rollup<O: AccuracyOracle>(
                 break;
             }
         }
-        let mut candidates: BTreeSet<Subspace> = BTreeSet::new();
-        for &s in &current_level {
-            for &one in &l1 {
-                if let Some(joined) = s.join(one) {
-                    candidates.insert(joined);
-                }
-            }
-        }
         let mut next_level = Vec::new();
-        for (idx, s) in candidates.into_iter().enumerate() {
-            if let Some(cap) = limits.max_candidates_per_level {
-                if idx >= cap {
-                    break;
-                }
-            }
+        for s in join(&current_level, &l1, cap) {
             let accs = oracle.accuracies(s)?;
             candidates_evaluated += 1;
             let mut qualified = false;
@@ -198,6 +283,35 @@ pub fn rollup<O: AccuracyOracle>(
         best_singleton,
         candidates_evaluated,
     })
+}
+
+/// The roll-up with the join built in a `BTreeSet` of every `s ∪ {b}`,
+/// cut to the cap afterwards: the reference the merge is checked
+/// against.
+#[cfg(test)]
+pub(crate) fn reference_rollup<O: AccuracyOracle>(
+    oracle: &O,
+    dimensionality: usize,
+    threshold: f64,
+    limits: RollupLimits,
+) -> Result<RollupOutcome> {
+    rollup_by(
+        oracle,
+        dimensionality,
+        threshold,
+        limits,
+        |level, l1, cap| {
+            let mut candidates = std::collections::BTreeSet::new();
+            for &s in level {
+                for &one in l1 {
+                    if let Some(joined) = s.join(one) {
+                        candidates.insert(joined);
+                    }
+                }
+            }
+            candidates.into_iter().take(cap).collect()
+        },
+    )
 }
 
 #[cfg(test)]
@@ -343,6 +457,42 @@ mod tests {
     }
 
     #[test]
+    fn data_wider_than_the_bitmask_is_an_error() {
+        // More dimensions than the bitmask holds: fail before the first
+        // evaluation instead of rolling up the first 64.
+        struct Counting(std::cell::Cell<usize>, Vec<ClassLabel>);
+        impl AccuracyOracle for Counting {
+            fn labels(&self) -> &[ClassLabel] {
+                &self.1
+            }
+            fn accuracies(&self, _: Subspace) -> Result<Vec<f64>> {
+                self.0.set(self.0.get() + 1);
+                Ok(vec![0.9])
+            }
+        }
+        let o = Counting(std::cell::Cell::new(0), vec![ClassLabel(0)]);
+        for d in [Subspace::MAX_DIMS + 1, Subspace::MAX_DIMS + 2] {
+            let err = rollup(&o, d, 0.5, RollupLimits::default()).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                udm_core::UdmError::SubspaceCapacityExceeded { dim: d - 1 }.to_string()
+            );
+        }
+        assert_eq!(o.0.get(), 0);
+        // 64 dims still fit: every singleton, the last included.
+        let limits = RollupLimits {
+            max_dim: Some(1),
+            max_candidates_per_level: None,
+        };
+        let out = rollup(&o, Subspace::MAX_DIMS, 0.5, limits).unwrap();
+        assert_eq!(out.candidates_evaluated, Subspace::MAX_DIMS);
+        assert_eq!(
+            out.qualifying.last().unwrap().subspace,
+            Subspace::singleton(Subspace::MAX_DIMS - 1).unwrap()
+        );
+    }
+
+    #[test]
     fn threshold_is_strict() {
         let o = oracle(&[(&[0], 0.8)], 0.0);
         let out = rollup(&o, 1, 0.8, RollupLimits::default()).unwrap();
@@ -431,6 +581,77 @@ mod proptests {
                 (z % 1000) as f64 / 1000.0
             });
             Ok(vec![a, 1.0 - a])
+        }
+    }
+
+    /// Seeded pseudo-random accuracies per subspace and label, NaN about
+    /// one time in 32, and a log of every subspace it is asked about.
+    struct SeededOracle {
+        labels: Vec<ClassLabel>,
+        seed: u64,
+        calls: std::cell::RefCell<Vec<Subspace>>,
+    }
+
+    impl SeededOracle {
+        fn new(labels: usize, seed: u64) -> Self {
+            SeededOracle {
+                labels: (0..labels as u32).map(ClassLabel).collect(),
+                seed,
+                calls: std::cell::RefCell::new(Vec::new()),
+            }
+        }
+    }
+
+    impl AccuracyOracle for SeededOracle {
+        fn labels(&self) -> &[ClassLabel] {
+            &self.labels
+        }
+        fn accuracies(&self, s: Subspace) -> Result<Vec<f64>> {
+            self.calls.borrow_mut().push(s);
+            Ok((0..self.labels.len() as u64)
+                .map(|l| {
+                    let mut z = (self.seed ^ s.bits().rotate_left(17) ^ l)
+                        .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    z ^= z >> 31;
+                    z = z.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    z ^= z >> 29;
+                    if z & 31 == 0 {
+                        f64::NAN
+                    } else {
+                        (z >> 11) as f64 / (1u64 << 53) as f64
+                    }
+                })
+                .collect())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn merge_join_matches_the_btreeset_join(
+            (dims, labels, seed) in (1usize..=20, 1usize..=3, 0u64..u64::MAX),
+            (keep_most, t) in (0usize..2, 0.0f64..1.0),
+            (cap_pick, max_dim) in (0usize..5, option::of(2usize..=5)),
+        ) {
+            // A low threshold lets most subspaces qualify (at least 80%
+            // with one label), a high one few.
+            let thr = if keep_most == 1 { 0.05 + 0.15 * t } else { 0.6 + 0.35 * t };
+            let cap = [None, Some(1), Some(3), Some(17), Some(100)][cap_pick];
+            // Without either guard the roll-up may walk the whole
+            // lattice, 2^20 subspaces at 20 dims; 12 dims keep it at 4095.
+            let dims = if cap.is_none() && max_dim.is_none() { dims.min(12) } else { dims };
+            let limits = RollupLimits { max_dim, max_candidates_per_level: cap };
+            let merged = SeededOracle::new(labels, seed);
+            let reference = SeededOracle::new(labels, seed);
+            let got = rollup(&merged, dims, thr, limits).unwrap();
+            let want = reference_rollup(&reference, dims, thr, limits).unwrap();
+            prop_assert_eq!(got.candidates_evaluated, want.candidates_evaluated);
+            prop_assert_eq!(got.best_singleton, want.best_singleton);
+            prop_assert!(got.qualifying == want.qualifying, "qualifying differ");
+            // The oracle sees the same subspaces in the same order, so
+            // an oracle error surfaces at the same candidate.
+            prop_assert!(merged.calls == reference.calls, "oracle call order differs");
         }
     }
 

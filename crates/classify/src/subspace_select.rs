@@ -5,19 +5,60 @@
 //! optional cap `p` is reached.
 
 use crate::rollup::DiscriminativeSubspace;
+use std::cmp::Ordering;
 
 /// Selects non-overlapping subspaces in descending accuracy order.
 ///
 /// Ties on accuracy are broken by smaller subspace first, then by the
-/// subspace's canonical (bitmask) order, so selection is deterministic.
+/// subspace's canonical (bitmask) order, then by input order, so
+/// selection is deterministic.
+///
+/// Each round takes the best remaining qualifier and drops every one
+/// that overlaps it, so a `d`-dimensional space takes at most `d` passes
+/// over a shrinking list.
 pub fn select_non_overlapping(
+    mut qualifying: Vec<DiscriminativeSubspace>,
+    max_selected: Option<usize>,
+) -> Vec<DiscriminativeSubspace> {
+    let mut selected: Vec<DiscriminativeSubspace> = Vec::new();
+    while selected.len() < max_selected.unwrap_or(usize::MAX) {
+        // `min_by` keeps the first of equal elements.
+        let Some((best, _)) = qualifying
+            .iter()
+            .enumerate()
+            .min_by(|(_, a), (_, b)| rank(a, b))
+        else {
+            break;
+        };
+        let pick = qualifying.remove(best);
+        qualifying.retain(|c| !c.subspace.overlaps(pick.subspace));
+        selected.push(pick);
+    }
+    selected
+}
+
+/// `Less` when `a` is preferred: higher accuracy, then fewer dimensions,
+/// then the lower bitmask.
+fn rank(a: &DiscriminativeSubspace, b: &DiscriminativeSubspace) -> Ordering {
+    b.accuracy
+        .partial_cmp(&a.accuracy)
+        .unwrap_or(Ordering::Equal)
+        .then(a.subspace.cardinality().cmp(&b.subspace.cardinality()))
+        .then(a.subspace.cmp(&b.subspace))
+}
+
+/// A stable sort, then one scan that keeps each qualifier overlapping
+/// none kept before it: the reference the greedy rounds are checked
+/// against.
+#[cfg(test)]
+pub(crate) fn reference_select(
     mut qualifying: Vec<DiscriminativeSubspace>,
     max_selected: Option<usize>,
 ) -> Vec<DiscriminativeSubspace> {
     qualifying.sort_by(|a, b| {
         b.accuracy
             .partial_cmp(&a.accuracy)
-            .unwrap_or(std::cmp::Ordering::Equal)
+            .unwrap_or(Ordering::Equal)
             .then(a.subspace.cardinality().cmp(&b.subspace.cardinality()))
             .then(a.subspace.cmp(&b.subspace))
     });
@@ -110,5 +151,38 @@ mod tests {
             None,
         );
         assert_eq!(sel.len(), 3);
+    }
+
+    #[test]
+    fn full_tie_keeps_input_order() {
+        // Same subspace and accuracy, different labels: the first wins.
+        let sel = select_non_overlapping(vec![ds(&[1], 0.8, 1), ds(&[1], 0.8, 0)], None);
+        assert_eq!(sel, vec![ds(&[1], 0.8, 1)]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn greedy_rounds_match_sort_then_scan(
+            entries in proptest::collection::vec((0u64..64, 0usize..4, 0u32..3), 0..40),
+            max_selected in proptest::option::of(1usize..=4),
+        ) {
+            // Six dimensions and four accuracy levels: overlaps, equal
+            // cardinalities, tied accuracies and duplicate subspaces
+            // (with differing labels) are all common.
+            let qualifying: Vec<DiscriminativeSubspace> = entries
+                .iter()
+                .map(|&(bits, level, label)| DiscriminativeSubspace {
+                    subspace: Subspace::from_bits(bits),
+                    accuracy: [0.6, 0.7, 0.8, 0.9][level],
+                    label: ClassLabel(label),
+                })
+                .collect();
+            proptest::prop_assert_eq!(
+                select_non_overlapping(qualifying.clone(), max_selected),
+                reference_select(qualifying, max_selected)
+            );
+        }
     }
 }
