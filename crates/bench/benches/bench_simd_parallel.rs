@@ -2,16 +2,11 @@
 //!
 //! Extends the `bench_subspace_cache` matrix to `n = 100_000`: per-query
 //! kernel-column construction through `MicroClusterKde::kernel_columns`
-//! (`mc_build`), plus a raw `exp` throughput microbench (`exp_std` vs
-//! `exp_fast`; `fast_exp` is always compiled). The build uses the
-//! hot-path exp, so the fast-math build win is the ratio of `mc_build`
-//! medians from two runs, without and with `--features
-//! udm-kde/fast-math`.
+//! (`mc_build`).
 //!
-//! Medians and the exp ratio go to `results/BENCH_simd_parallel.json`
-//! (the `BENCH_subspace_cache.json` baseline is written by its own
-//! bench). The report records `host_cores` and `fast_math_enabled`
-//! (whether the hot-path exp is `fast_exp` in this build).
+//! Medians go to `results/BENCH_simd_parallel.json` (the
+//! `BENCH_subspace_cache.json` baseline is written by its own bench).
+//! The report records `host_cores`.
 //!
 //! `UDM_BENCH_QUICK=1` shrinks the matrix and sampling for CI smoke.
 
@@ -19,7 +14,7 @@ use criterion::{black_box, Criterion};
 use std::time::Duration;
 use udm_core::UncertainDataset;
 use udm_data::{ErrorModel, GaussianClassSpec, MixtureGenerator};
-use udm_kde::{fast_exp, hot_exp, KdeConfig};
+use udm_kde::KdeConfig;
 use udm_microcluster::{MaintainerConfig, MicroClusterKde, MicroClusterMaintainer};
 
 fn quick() -> bool {
@@ -51,11 +46,6 @@ fn synthetic(n: usize, d: usize, seed: u64) -> UncertainDataset {
         .unwrap()
 }
 
-/// 4096 negative exp arguments spanning the kernel's live range.
-fn exp_args() -> Vec<f64> {
-    (0..4096).map(|i| -(i as f64) * 0.17 % 700.0).collect()
-}
-
 fn bench_simd_parallel(c: &mut Criterion) {
     let mut group = c.benchmark_group("simd_parallel");
     if quick() {
@@ -65,28 +55,6 @@ fn bench_simd_parallel(c: &mut Criterion) {
         group.measurement_time(Duration::from_millis(300));
         group.sample_size(5);
     }
-
-    // Raw exponential throughput: the kernel builds are exp-bound, so
-    // this is the upper bound of the fast-math build win.
-    let args = exp_args();
-    group.bench_function("exp_std/x4096", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for &x in black_box(&args) {
-                acc += x.exp();
-            }
-            acc
-        })
-    });
-    group.bench_function("exp_fast/x4096", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for &x in black_box(&args) {
-                acc += fast_exp(x);
-            }
-            acc
-        })
-    });
 
     for &(n, d) in &matrix() {
         let tag = format!("n{n}_d{d}");
@@ -113,13 +81,8 @@ struct BenchEntry {
 #[derive(serde::Serialize)]
 struct Report {
     host_cores: usize,
-    /// Whether the hot-path exp (`hot_exp`) is `fast_exp` in this build.
-    fast_math_enabled: bool,
     quick_mode: bool,
-    /// `exp_std / exp_fast` single-thread throughput ratio.
-    exp_fast_speedup: f64,
     entries: Vec<BenchEntry>,
-    criteria_notes: Vec<String>,
 }
 
 fn dump_json(c: &Criterion) {
@@ -131,22 +94,9 @@ fn dump_json(c: &Criterion) {
             .unwrap_or(f64::NAN)
     };
     let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let exp_fast_speedup = seconds("exp_std/x4096") / seconds("exp_fast/x4096");
-
-    let criteria_notes = vec![
-        "exp_fast_speedup is the single-thread exp throughput ratio; the \
-         fast-math build win is the ratio of mc_build medians from runs \
-         without and with --features udm-kde/fast-math (fast_math_enabled)."
-            .to_string(),
-    ];
-
     let report = Report {
         host_cores,
-        fast_math_enabled: exp_args()
-            .iter()
-            .any(|&a| hot_exp(a).to_bits() != a.exp().to_bits()),
         quick_mode: quick(),
-        exp_fast_speedup,
         entries: c
             .results
             .iter()
@@ -155,7 +105,6 @@ fn dump_json(c: &Criterion) {
                 median_seconds: t.as_secs_f64(),
             })
             .collect(),
-        criteria_notes,
     };
     let json = serde_json::to_string(&report).expect("report serializes");
     let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
@@ -166,7 +115,6 @@ fn dump_json(c: &Criterion) {
     };
     std::fs::write(&file, &json).expect("write BENCH_simd_parallel.json");
     println!("wrote {}", file.display());
-    println!("exp_std/exp_fast: {exp_fast_speedup:.2}x");
     for &(n, d) in &matrix() {
         let tag = format!("n{n}_d{d}");
         println!(

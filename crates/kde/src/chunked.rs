@@ -14,9 +14,9 @@
 //!
 //! [`gaussian_kernel_row`] is the column *build* counterpart: one
 //! dimension's kernel evaluations for every row, generic over the
-//! exponential so a single monomorphized loop serves both the hot-path
-//! (`f64::exp` or [`crate::fastexp::hot_exp`]) and the explicit
-//! bounded-error ([`crate::fastexp::fast_exp`]) builds.
+//! exponential: production builds pass [`crate::fastexp::fast_exp`],
+//! whose branch-free body lets the loop vectorize, and tests pass
+//! `f64::exp` as a reference.
 //!
 //! [`with_scratch`] supplies the per-thread product buffer so the hot
 //! path performs no per-call allocation; re-entrant use (or a poisoned

@@ -98,6 +98,7 @@ impl<'a, K: Kernel> ClassicKde<'a, K> {
 mod tests {
     use super::*;
     use crate::estimator::{ErrorKde, KdeConfig};
+    use crate::fastexp::FAST_EXP_MAX_ABS_ERROR;
     use crate::kernel::{EpanechnikovKernel, GaussianKernel, TriangularKernel, UniformKernel};
     use crate::quadrature::trapezoid;
     use udm_core::UncertainPoint;
@@ -117,17 +118,13 @@ mod tests {
         let d = data_1d();
         let classic = ClassicKde::fit(&d, GaussianKernel, BandwidthRule::Silverman).unwrap();
         let error_kde = ErrorKde::fit(&d, KdeConfig::unadjusted()).unwrap();
-        // The error-based path routes its exp through hot_exp, so under
-        // fast-math it may differ from the libm-exp classic kernel by
-        // the documented fast_exp budget (amplified by the prefactor).
-        let tol = if cfg!(feature = "fast-math") {
-            1e-6
-        } else {
-            1e-12
-        };
         for x in [-1.0, 0.0, 0.7, 2.0, 4.2] {
             let a = classic.density(&[x]).unwrap();
             let b = error_kde.density(&[x]).unwrap();
+            // The error-based path's exp is fast_exp, the classic
+            // kernel's is libm: a 1-dim density is within the exp
+            // budget relative, plus float noise.
+            let tol = FAST_EXP_MAX_ABS_ERROR * a + 1e-12;
             assert!((a - b).abs() < tol, "x={x}: {a} vs {b}");
         }
     }

@@ -1,16 +1,18 @@
-//! Bounded-error fast exponential for the Gaussian kernel hot path.
+//! The kernel exponential: a bounded-error, branch-free `exp`.
 //!
-//! Every kernel evaluation costs one `exp`, and profiling the subspace
-//! roll-up shows the column builds are `exp`-bound: the rest of the
-//! per-element work is a subtraction, two multiplies and a divide. The
-//! libm `exp` call is correctly rounded but opaque to the optimizer —
-//! it can neither inline nor vectorize, so it caps the throughput of
-//! the columnar builders in [`crate::columns`] and
-//! `udm_microcluster::density`.
+//! Every kernel evaluation costs one `exp`, and the column builds are
+//! `exp`-bound: the rest of the per-element work is a subtraction, two
+//! multiplies and a divide. A libm `exp` call is correctly rounded but
+//! opaque to the optimizer: it can neither inline nor vectorize, so a
+//! loop that calls it stays scalar. [`fast_exp`] is the only
+//! exponential any kernel evaluation calls, both in
+//! `GaussianErrorKernel::evaluate` (the naive path) and in the column
+//! builds through [`crate::chunked::gaussian_kernel_row`], so cached
+//! and naive densities stay bit-identical.
 //!
-//! [`fast_exp`] trades the last few bits for a short, branch-free,
-//! inlineable table-plus-polynomial pipeline (the classic `exp2`-style
-//! scheme used by vectorized math libraries):
+//! It trades the last few bits for a short, inlineable
+//! table-plus-polynomial pipeline (the classic `exp2`-style scheme used
+//! by vectorized math libraries):
 //!
 //! 1. **8-way Cody–Waite range reduction**: `x = m·(ln2/8) + r` with
 //!    `|r| ≤ ln2/16 ≈ 0.0433`, where `m·(ln2/8)` is subtracted in two
@@ -29,21 +31,22 @@
 //!    and `2^e` is added directly onto their IEEE-754 exponent field
 //!    with integer ops.
 //!
-//! The Gaussian kernel only ever feeds non-positive arguments
-//! (`−diff²/(2σ²) ≤ 0`), and on that domain the error contract is
-//! *absolute*: `|fast_exp(x) − exp(x)| ≤` [`FAST_EXP_MAX_ABS_ERROR`]
-//! (since `exp(x) ≤ 1` there, the ~1.3e−9 relative error is also an
-//! absolute bound; the proptests below enforce both forms). Positive
-//! arguments defer to `f64::exp`, so the function is total and the
-//! error contract is never silently violated outside its fast domain.
+//! **Domain.** The kernel's argument is `−d²/two_var` with
+//! `two_var = 2(h² + ψ²) > 0` (`GaussianErrorKernel::factors` answers
+//! `None` at `h = ψ = 0`), so it is `≤ 0`, `−∞` or `NaN`, never
+//! positive. On `x ≤ 0` the error contract is *absolute*:
+//! `|fast_exp(x) − exp(x)| ≤` [`FAST_EXP_MAX_ABS_ERROR`] (since
+//! `exp(x) ≤ 1` there, the ~1.3e−9 relative error is also an absolute
+//! bound; the proptests below enforce both forms).
 //!
-//! Nothing in this module is gated: [`fast_exp`] is always compiled
-//! (benchmarks A/B it against `f64::exp` in a single binary, and the
-//! error-bound proptests always run). The `fast-math` feature only
-//! selects which implementation [`hot_exp`] — the exp used by the
-//! kernel hot path — resolves to. With the feature off (the default)
-//! `hot_exp` is exactly `f64::exp` and every density is bit-for-bit
-//! reproducible against the scalar reference path.
+//! **Branch-free.** The argument is clamped into the domain with plain
+//! comparisons and the result selected to `0.0` below the underflow
+//! cutoff, so the body has no early return and no libm arm, and the
+//! column loop compiles to vector code: a single libm call anywhere in
+//! the body keeps the whole loop scalar. The test-only oracle
+//! `fast_exp_branchy` keeps the early-return form, with positive
+//! arguments sent to libm, and a proptest pins the two bit for bit on
+//! the domain.
 
 #![cfg_attr(not(test), warn(clippy::as_conversions))]
 
@@ -91,22 +94,20 @@ const C4: f64 = 1.0 / 24.0;
 /// Fast `exp` with a bounded absolute error of
 /// [`FAST_EXP_MAX_ABS_ERROR`] vs `f64::exp` for `x ≤ 0`.
 ///
-/// Total over all of `f64`: `NaN` propagates, `−∞` and everything
-/// below the underflow cutoff return `0.0`, and positive arguments
-/// defer to `f64::exp` (they are outside the kernel's domain and the
-/// absolute-error contract).
+/// Branch-free on the kernel's domain, so a loop of kernel evaluations
+/// vectorizes: the argument is clamped into `[UNDERFLOW_CUTOFF, 0]`
+/// with plain comparisons, the reduction runs unconditionally, and the
+/// result is selected to `0.0` below the cutoff. Total over all of
+/// `f64`: `NaN` fails both comparisons and propagates through the
+/// arithmetic, `−∞` and everything below the cutoff return `0.0`, and
+/// positive arguments (outside the kernel's domain) are clamped to `0`
+/// and return `1.0`.
 #[inline]
 pub fn fast_exp(x: f64) -> f64 {
-    // Ordered so NaN (which fails every comparison) propagates first.
-    if x.is_nan() {
-        return x;
-    }
-    if x < UNDERFLOW_CUTOFF {
-        return 0.0;
-    }
-    if x > 0.0 {
-        return x.exp();
-    }
+    // Plain comparisons, not `f64::max`/`min` (which drop a NaN operand).
+    let below = x < UNDERFLOW_CUTOFF;
+    let x = if below { UNDERFLOW_CUTOFF } else { x };
+    let x = if x > 0.0 { 0.0 } else { x };
     // m = round(x · 8/ln2) via the shift trick; −8172 ≤ m ≤ 0 here.
     // `mul_add` is used deliberately throughout: rustc never contracts
     // `a*b + c` on its own, and a fused step both shortens the pipeline
@@ -133,27 +134,40 @@ pub fn fast_exp(x: f64) -> f64 {
     let j = usize::try_from(mi & 7).unwrap_or(0);
     let e8 = mi & !7u64;
     let scale = f64::from_bits(EXP2_FRAC_BITS[j].wrapping_add(e8.wrapping_shl(49)));
-    p * scale
+    if below {
+        0.0
+    } else {
+        p * scale
+    }
 }
 
-/// The exponential used by the kernel hot path.
-///
-/// Resolves to [`fast_exp`] when the `fast-math` feature is enabled
-/// and to `f64::exp` otherwise. Both the scalar reference kernels and
-/// the columnar builders call this, so the cached-vs-naive bit-exact
-/// contract holds under either build; only the relationship to the
-/// true exponential changes (exact by default, bounded-error under
-/// `fast-math`).
-#[inline(always)]
-pub fn hot_exp(x: f64) -> f64 {
-    #[cfg(feature = "fast-math")]
-    {
-        fast_exp(x)
+/// The branchy form of [`fast_exp`], kept as its test oracle: early
+/// returns for `NaN`, the underflow cutoff and positive arguments
+/// (which go to libm), then its own copy of the reduction, so an edit
+/// to [`fast_exp`]'s reduction that changes a result fails the oracle
+/// proptest.
+#[cfg(test)]
+fn fast_exp_branchy(x: f64) -> f64 {
+    if x.is_nan() {
+        return x;
     }
-    #[cfg(not(feature = "fast-math"))]
-    {
-        x.exp()
+    if x < UNDERFLOW_CUTOFF {
+        return 0.0;
     }
+    if x > 0.0 {
+        return x.exp();
+    }
+    let shifted = x.mul_add(EIGHT_OVER_LN2, SHIFT);
+    let m = shifted - SHIFT;
+    let r_hi = (-m).mul_add(LN2_HI_8, x);
+    let r = (-m).mul_add(LN2_LO_8, r_hi);
+    let r2 = r * r;
+    let p = r2.mul_add(r2.mul_add(C4, r.mul_add(C3, 0.5)), 1.0 + r);
+    let mi = shifted.to_bits().wrapping_sub(SHIFT.to_bits());
+    let j = usize::try_from(mi & 7).unwrap_or(0);
+    let e8 = mi & !7u64;
+    let scale = f64::from_bits(EXP2_FRAC_BITS[j].wrapping_add(e8.wrapping_shl(49)));
+    p * scale
 }
 
 #[cfg(test)]
@@ -171,9 +185,10 @@ mod tests {
         assert!(fast_exp(f64::NAN).is_nan());
         assert_eq!(fast_exp(f64::NEG_INFINITY), 0.0);
         assert_eq!(fast_exp(-1.0e9), 0.0);
-        // Positive arguments defer to the libm exp bit-for-bit.
-        for x in [0.5, 3.0, 100.0, 700.0, f64::INFINITY] {
-            assert_eq!(fast_exp(x).to_bits(), x.exp().to_bits());
+        // Positive arguments lie outside the kernel's domain; they are
+        // clamped to 0, so the result is exactly exp(0).
+        for x in [f64::MIN_POSITIVE, 0.5, 3.0, 100.0, 700.0, f64::INFINITY] {
+            assert_eq!(fast_exp(x).to_bits(), 1.0f64.to_bits(), "x={x}");
         }
     }
 
@@ -192,20 +207,19 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "fast-math"))]
     #[test]
-    fn hot_exp_is_libm_exp_by_default() {
-        for &x in &[-5.0, -0.25, 0.0, 1.5] {
-            assert_eq!(hot_exp(x).to_bits(), x.exp().to_bits());
+    fn branch_free_matches_branchy_oracle_at_edges() {
+        let below_cutoff = f64::from_bits(UNDERFLOW_CUTOFF.to_bits() + 1);
+        assert!(below_cutoff < UNDERFLOW_CUTOFF);
+        for x in [0.0, -0.0, UNDERFLOW_CUTOFF, below_cutoff, f64::NEG_INFINITY] {
+            assert_eq!(
+                fast_exp(x).to_bits(),
+                fast_exp_branchy(x).to_bits(),
+                "x={x}"
+            );
         }
-    }
-
-    #[cfg(feature = "fast-math")]
-    #[test]
-    fn hot_exp_is_fast_exp_under_fast_math() {
-        for &x in &[-5.0, -0.25, 0.0] {
-            assert_eq!(hot_exp(x).to_bits(), fast_exp(x).to_bits());
-        }
+        assert!(fast_exp(f64::NAN).is_nan() && fast_exp_branchy(f64::NAN).is_nan());
+        assert!(fast_exp(-f64::NAN).is_nan());
     }
 }
 
@@ -238,6 +252,19 @@ mod proptests {
             let truth = x.exp();
             let rel = (fast_exp(x) - truth).abs() / truth;
             prop_assert!(rel <= FAST_EXP_MAX_ABS_ERROR, "x={x}: rel err {rel:e}");
+        }
+
+        // The branch-free form answers exactly what the branchy form
+        // it replaced answered, over the kernel's domain and past the
+        // underflow cutoff.
+        #[test]
+        fn branch_free_is_bit_identical_to_branchy_oracle(x in -800.0f64..=0.0) {
+            prop_assert!(
+                fast_exp(x).to_bits() == fast_exp_branchy(x).to_bits(),
+                "x={x}: {} vs oracle {}",
+                fast_exp(x),
+                fast_exp_branchy(x)
+            );
         }
 
         // Monotone non-increasing error in the deep-negative tail: past

@@ -36,8 +36,8 @@
 //!   `udm-microcluster`),
 //! * [`chunked`] — the contiguous inner loops behind the columnar path
 //!   (column multiply, ordered reduction, column build),
-//! * [`fastexp`] — a bounded-error fast `exp` selected by the
-//!   `fast-math` feature (default off; the default build is bit-exact),
+//! * [`fastexp`] — the kernel exponential: a branch-free `exp` within
+//!   `1e-8` absolute of libm, the only one any kernel evaluation calls,
 //! * [`grid`] — dense grid evaluation for plotting and numeric checks,
 //! * [`quadrature`] — trapezoidal integration used to verify normalization,
 //! * [`cdf`] — closed-form CDF/quantile/interval-mass queries for 1-D
@@ -80,7 +80,7 @@ pub use classic::ClassicKde;
 pub use columns::KernelColumns;
 pub use error_kernel::{ErrorKernelForm, GaussianErrorKernel};
 pub use estimator::{ErrorKde, KdeConfig};
-pub use fastexp::{fast_exp, hot_exp, FAST_EXP_MAX_ABS_ERROR};
+pub use fastexp::{fast_exp, FAST_EXP_MAX_ABS_ERROR};
 pub use grid::{Grid1D, Grid2D};
 pub use kernel::{EpanechnikovKernel, GaussianKernel, Kernel, TriangularKernel, UniformKernel};
 pub use sampling::{sample_dataset, sample_one};

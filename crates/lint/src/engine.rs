@@ -1,22 +1,19 @@
 //! The check pipeline: walk the tree, lex, parse, run rules, apply
 //! waivers.
 //!
-//! Three passes:
+//! One pass per file:
 //!
-//! 1. **Per file** — lex, then parse with [`crate::parser`], then run the
+//! 1. **Rules** — lex, then parse with [`crate::parser`], then run the
 //!    token rules and the AST rules (UDM005, UDM009). A file whose
 //!    parse has errors or leaves tokens uncovered fails the whole check,
 //!    naming the file and the parser's first error.
-//! 2. **Cross-file** — the UDM008 fast-math isolation pass over every
-//!    file ([`crate::callgraph`]).
-//! 3. **Waivers** — inline-comment filtering, with unused-waiver
+//! 2. **Waivers** — inline-comment filtering, with unused-waiver
 //!    tracking so stale allows get burned down.
 
 use crate::ast::Ast;
 use crate::astrules::run_ast_rules;
-use crate::callgraph::{udm008_fast_math_isolation, FileAst};
 use crate::context::FileContext;
-use crate::lexer::{lex, Lexed};
+use crate::lexer::lex;
 use crate::rules::{run_token_rules, Diagnostic, ALL_RULES};
 use crate::waivers::{apply_waivers, inline_waivers};
 use std::collections::BTreeMap;
@@ -39,15 +36,6 @@ pub struct CheckReport {
     pub files_scanned: usize,
     /// Inline `// udm-lint: allow(..)` comments that matched nothing.
     pub unused_inline_waivers: Vec<String>,
-}
-
-/// Per-file analysis state carried between the passes.
-struct FileAnalysis {
-    rel: String,
-    lexed: Lexed,
-    ast: Ast,
-    ctx: FileContext,
-    diags: Vec<Diagnostic>,
 }
 
 /// Recursively collects `.rs` files under `root`, skipping build output,
@@ -105,8 +93,6 @@ pub fn check(root: &Path) -> Result<CheckReport, String> {
         report.per_rule.insert(rule, (0, 0));
     }
 
-    // Pass 1: per-file lex + parse + single-file rules.
-    let mut analyses: Vec<FileAnalysis> = Vec::new();
     for path in files {
         let rel = path
             .strip_prefix(root)
@@ -123,49 +109,20 @@ pub fn check(root: &Path) -> Result<CheckReport, String> {
         let ctx = FileContext::new(&rel, &lexed, &ast, fixture_mode);
         let mut diags = run_token_rules(&lexed, &ctx);
         diags.extend(run_ast_rules(&lexed, &ast, &ctx));
-        analyses.push(FileAnalysis {
-            rel,
-            lexed,
-            ast,
-            ctx,
-            diags,
-        });
         report.files_scanned += 1;
-    }
 
-    // Pass 2: cross-file UDM008.
-    let parsed: Vec<FileAst<'_>> = analyses
-        .iter()
-        .map(|a| FileAst {
-            lexed: &a.lexed,
-            ast: &a.ast,
-            ctx: &a.ctx,
-        })
-        .collect();
-    let udm008 = udm008_fast_math_isolation(&parsed);
-    drop(parsed);
-    for d in udm008 {
-        if let Some(a) = analyses.iter_mut().find(|a| a.rel == d.path) {
-            a.diags.push(d);
-        }
-    }
-
-    // Pass 3: waivers, with unused tracking.
-    for a in analyses {
-        for d in &a.diags {
+        for d in &diags {
             report.per_rule.entry(d.rule).or_insert((0, 0)).0 += 1;
         }
-        let inline = inline_waivers(&a.lexed);
-        let outcome = apply_waivers(a.diags, &inline);
+        let inline = inline_waivers(&lexed);
+        let outcome = apply_waivers(diags, &inline);
         report.waived += outcome.waived;
         for (i, w) in inline.iter().enumerate() {
             if !outcome.used_inline.contains(&i) {
                 let line = w.lines.iter().next().copied().unwrap_or(0);
-                report.unused_inline_waivers.push(format!(
-                    "{}:{line}: allow({})",
-                    a.rel,
-                    w.rules.join(", ")
-                ));
+                report
+                    .unused_inline_waivers
+                    .push(format!("{rel}:{line}: allow({})", w.rules.join(", ")));
             }
         }
         report.diagnostics.extend(outcome.remaining);

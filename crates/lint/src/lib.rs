@@ -25,10 +25,6 @@
 //! * **UDM006** — `udm_observe::span!` guards must be bound to a named
 //!   variable; `let _ = span!(..)` and bare `span!(..);` statements drop
 //!   the RAII guard immediately, so the span covers nothing.
-//! * **UDM008** — items gated on the `fast-math` feature (and the
-//!   deliberately-ungated approximate roots like `fast_exp`) must stay
-//!   unreachable from default-build code; cross-file pass
-//!   ([`callgraph`]).
 //! * **UDM009** — `OnceLock`/`OnceCell`/`Lazy` initialisers must be
 //!   deterministic: no RNG, clocks, thread ids, or unordered-map
 //!   iteration inside the init closure; the binding table comes from
@@ -51,7 +47,6 @@
 
 pub mod ast;
 pub mod astrules;
-pub mod callgraph;
 pub mod context;
 pub mod engine;
 pub mod lexer;

@@ -6,12 +6,10 @@
 //! | UDM003 | `sqrt` of variance-like expressions must use `udm_core::num::clamped_sqrt` |
 //! | UDM005 | public estimator entry points must validate finite inputs |
 //! | UDM006 | `span!` guards must be bound to a named variable |
-//! | UDM008 | `fast-math`-gated items unreachable from default-feature code |
 //! | UDM009 | once-init closures must be deterministic |
 //!
 //! UDM002, UDM003 and UDM006 are token rules (they scan the lexer's
-//! token stream). UDM005 and UDM009 live in [`crate::astrules`];
-//! UDM008 is the cross-file pass in [`crate::callgraph`].
+//! token stream). UDM005 and UDM009 live in [`crate::astrules`].
 
 use crate::context::FileContext;
 use crate::lexer::{Lexed, Tok, TokKind};
@@ -30,10 +28,10 @@ pub struct Diagnostic {
 }
 
 /// All rule ids, in order.
-pub const ALL_RULES: [&str; 6] = ["UDM002", "UDM003", "UDM005", "UDM006", "UDM008", "UDM009"];
+pub const ALL_RULES: [&str; 5] = ["UDM002", "UDM003", "UDM005", "UDM006", "UDM009"];
 
 /// One-line description per rule id (drives `--format json`/`sarif`).
-pub const RULE_INFO: [(&str, &str); 6] = [
+pub const RULE_INFO: [(&str, &str); 5] = [
     (
         "UDM002",
         "no bare ==/!= against float expressions outside test code",
@@ -47,10 +45,6 @@ pub const RULE_INFO: [(&str, &str); 6] = [
         "public estimator entry points must validate finite inputs",
     ),
     ("UDM006", "span! guards must be bound to a named variable"),
-    (
-        "UDM008",
-        "fast-math-gated items must be unreachable from default-feature code",
-    ),
     (
         "UDM009",
         "OnceLock/OnceCell/Lazy init closures must be deterministic",

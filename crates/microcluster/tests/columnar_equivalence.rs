@@ -1,24 +1,24 @@
 //! Property tests for the columnar kernel hot path.
 //!
-//! Two contracts, checked in both feature builds:
+//! Two contracts:
 //!
 //! 1. **Bit-exact caching**: the SoA column cache evaluates every
 //!    subspace bit-for-bit identically to the naive row-wise density
-//!    loop, with and without query errors — under the default build
-//!    *and* under `fast-math` (both paths route their exponential
-//!    through `hot_exp`, so the contract is exp-agnostic). The
-//!    proptests cover small datasets; a seed-replayable xorshift sweep
-//!    covers fitted mixtures of up to 31 pseudo-points, on random
-//!    subspaces and on the full space through `density`.
+//!    loop, with and without query errors (both paths call `fast_exp`).
+//!    The proptests cover small datasets; a seed-replayable xorshift
+//!    sweep covers fitted mixtures of up to 31 pseudo-points, on random
+//!    subspaces and on the full space through `density`. A fixed test
+//!    drives every kernel past the underflow cutoff at the vector
+//!    loop's tail row counts.
 //! 2. **Bounded drift**: against an independently computed `f64::exp`
 //!    reference (rebuilt by hand from the public pseudo-point
-//!    statistics), the density is float-noise exact by default and
-//!    within the documented `fast_exp` budget under `fast-math`.
+//!    statistics), the density is within the documented `fast_exp`
+//!    budget.
 
 use proptest::prelude::*;
 use udm_core::num::f64_from_count;
 use udm_core::{Subspace, UncertainDataset, UncertainPoint};
-use udm_kde::{ErrorKernelForm, KdeConfig};
+use udm_kde::{ErrorKernelForm, KdeConfig, FAST_EXP_MAX_ABS_ERROR};
 use udm_microcluster::{MaintainerConfig, MicroClusterKde, MicroClusterMaintainer, PseudoPoint};
 
 const MAX_DIM: usize = 4;
@@ -113,9 +113,10 @@ proptest! {
         }
         let reference = sum / n_total;
 
-        let tol = if cfg!(feature = "fast-math") { 1e-6 } else { 1e-12 };
+        // A 1-dim density: the exp budget relative, plus float noise.
+        let tol = FAST_EXP_MAX_ABS_ERROR * reference + 1e-12 * (1.0 + reference);
         prop_assert!(
-            (got - reference).abs() <= tol * (1.0 + reference.abs()),
+            (got - reference).abs() <= tol,
             "density {} vs std-exp reference {} (tol {})", got, reference, tol
         );
     }
@@ -231,6 +232,72 @@ fn fitted_mixture_is_bit_identical_on_random_models() {
         let kde = random_model(&mut rng, dim, n, q);
         for _ in 0..32 {
             assert_columns_match_scalar(&kde, &mut rng, dim, seed);
+        }
+    }
+}
+
+/// Every kernel argument below `fast_exp`'s underflow cutoff, at row
+/// counts that leave the vectorized column loop a remainder (1, 3, 5,
+/// 7, 9, 17) or none (4, 8): every column value is the below-cutoff
+/// `0.0`, and the cache still answers what the naive loop answers,
+/// which here takes its `prod == 0.0` break in the first dimension.
+#[test]
+fn every_kernel_underflows_at_tail_row_counts() {
+    const DIM: usize = 3;
+    const WIDTHS_AWAY: f64 = 40.0;
+    for rows in [1usize, 3, 4, 5, 7, 8, 9, 17] {
+        // One record per micro-cluster, so the mixture has `rows`
+        // pseudo-points of weight 1 and `N = rows`.
+        let pts: Vec<UncertainPoint> = (0..rows)
+            .map(|r| {
+                let r = r as f64;
+                let values = vec![r * 0.37, -r * 0.21, r * 0.5 - 2.0];
+                let errors = vec![0.1 + 0.05 * (r % 3.0), 0.2, 0.3];
+                UncertainPoint::new(values, errors).unwrap()
+            })
+            .collect();
+        let d = UncertainDataset::from_points(pts).unwrap();
+        let m = MicroClusterMaintainer::from_dataset(&d, MaintainerConfig::new(rows)).unwrap();
+        let mc = MicroClusterKde::fit_with_bandwidths(
+            m.clusters(),
+            vec![0.5; DIM],
+            ErrorKernelForm::Normalized,
+            true,
+        )
+        .unwrap();
+        assert_eq!(mc.num_pseudo_points(), rows);
+        let query_errors = [0.4; DIM];
+        for errs in [None, Some(query_errors.as_slice())] {
+            // Widest effective width √(h² + Δ² [+ ψ(x)²]) and farthest
+            // centroid per dimension; the query sits WIDTHS_AWAY widths
+            // beyond both, so every argument is ≤ −WIDTHS_AWAY²/2 = −800.
+            let x: Vec<f64> = (0..DIM)
+                .map(|j| {
+                    let e2 = errs.map_or(0.0, |e| e[j] * e[j]);
+                    let h = mc.bandwidths()[j];
+                    let (mut width, mut reach) = (0.0f64, f64::NEG_INFINITY);
+                    for p in mc.pseudo_points() {
+                        width = width.max((h * h + p.delta[j] * p.delta[j] + e2).sqrt());
+                        reach = reach.max(p.centroid[j]);
+                    }
+                    reach + WIDTHS_AWAY * width
+                })
+                .collect();
+            let cols = mc.kernel_columns(&x, errs).unwrap();
+            for bits in 1u64..(1 << DIM) {
+                let s = Subspace::from_bits(bits);
+                let naive = mc.density_subspace_with_error(&x, errs, s).unwrap();
+                let cached = cols.density(s).unwrap();
+                assert_eq!(
+                    cached.to_bits(),
+                    naive.to_bits(),
+                    "{rows} rows, errs {errs:?}, subspace {bits:#b}"
+                );
+                // With unit weights and N ≤ 17, a nonzero column value
+                // (≥ pref·e^−708 ≈ 1e-308 above the cutoff) would leave
+                // a single-dimension density ≥ 1e-310, not zero.
+                assert_eq!(cached.to_bits(), 0.0f64.to_bits(), "{rows} rows, {bits:#b}");
+            }
         }
     }
 }
